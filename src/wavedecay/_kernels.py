@@ -2,7 +2,8 @@
 
 Two interchangeable implementations of the same update:
 
-  * a numba @njit kernel (default when numba imports cleanly), and
+  * a numba @njit kernel (default when numba imports cleanly; numba is
+    the package's optional `jit` extra), and
   * a vectorized pure-numpy fallback.
 
 Selection: set WAVEDECAY_BACKEND=numpy to force the fallback, or

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ExperimentConfig
-from .feedback import FeedbackLaw
+from .feedback import FeedbackLaw, LawError
 from .numutil import invert_increasing
 from .odecmp import hfl_screen
 from .sim import EnergyTrace, run
@@ -31,9 +31,11 @@ from .transforms import (
     _away_from_linear,
     _c0,
     beta_floor,
+    envelope_M,
     envelope_value,
     hprime_inv,
     optimal_weight,
+    require_away_from_linear,
     weight_psi_r,
 )
 
@@ -45,6 +47,12 @@ class HarnessError(ValueError):
 MONOTONE_STEP_TOL = 1e-11  # relative to E(0), per sampled step
 UPPER_MARGIN_SLACK = 1.0 + 1e-9
 LOWER_MARGIN_SLACK = 1.0 - 1e-9
+GENERAL_ENVELOPE_POINTS = 256  # the general envelope is costly per point
+UPPER_CORRECTION_PASSES = 8  # verification passes of the upper calibration
+UNDOMINATED = (
+    "upper-envelope calibration failed: trace cannot be dominated "
+    "with the envelope domain starting inside the window"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +386,9 @@ def compare_to_envelope(
     lo = envelope.domain_start()
     if t_start is not None:
         lo = max(lo, t_start)
-    sel = (t >= lo * (1.0 - 1e-12)) & (E > 0.0)
-    if not sel.any():
-        raise HarnessError("trace does not overlap the envelope domain")
-    ts, es = t[sel], E[sel]
     if max_points is None and envelope.kind == "general":
-        max_points = 256
-    if max_points is not None and len(ts) > max_points:
-        idx = np.unique(np.round(np.linspace(0, len(ts) - 1, max_points)).astype(int))
-        ts, es = ts[idx], es[idx]
+        max_points = GENERAL_ENVELOPE_POINTS
+    ts, es = _window_samples(t, E, lo * (1.0 - 1e-12), max_points)
     env = np.array([envelope_value(envelope, float(tv)) for tv in ts])
     ratios = es / env
     margins = (float(np.min(ratios)), float(np.max(ratios)))
@@ -412,11 +414,13 @@ def compare_to_envelope(
 # envelope calibration
 
 
-def _window_samples(trace: EnergyTrace, t_lo: float, max_points: int | None = None):
-    sel = (trace.t >= t_lo) & (trace.E > 0.0)
+def _window_samples(t: np.ndarray, E: np.ndarray, t_lo: float, max_points: int | None = None):
+    """Positive-energy samples at t >= t_lo, thinned to at most max_points
+    evenly spaced in index (the first and last are kept)."""
+    sel = (t >= t_lo) & (E > 0.0)
     if not sel.any():
         raise HarnessError(f"no positive-energy samples at or beyond t = {t_lo:g}")
-    ts, es = trace.t[sel], trace.E[sel]
+    ts, es = t[sel], E[sel]
     if max_points is not None and len(ts) > max_points:
         idx = np.unique(np.round(np.linspace(0, len(ts) - 1, max_points)).astype(int))
         ts, es = ts[idx], es[idx]
@@ -434,51 +438,57 @@ def calibrate_upper(
     """Smallest upper envelope dominating the trace on the fit window.
 
     beta defaults to its smallest admissible value E(0)/(2 L(H'(r0^2))).
-    The time constant M is the smallest value for which the envelope sits on
-    or above every windowed sample (the envelope is increasing in M), so the
-    calibrated envelope touches the trace at its worst point.  M is capped so
-    the envelope's domain still starts at the window's left edge; a trace
-    that cannot be dominated within that cap raises.
+    Both upper envelopes rise with M, so each windowed sample (t_i, E_i)
+    needs M >= envelope_M(t_i, E_i), the M at which the envelope passes
+    through it, and the calibrated M is the largest of these: the envelope
+    touches the trace at its worst sample.  The general kind calibrates on a
+    subsample of GENERAL_ENVELOPE_POINTS, the points compare_to_envelope
+    uses.  The result is verified with envelope_value at every sample; where
+    the numerical inverses leave a sample above the envelope, M is raised by
+    that sample's shortfall, for at most UPPER_CORRECTION_PASSES passes.
+
+    M is capped so the envelope's domain still starts at the window's left
+    edge.  A trace that needs a larger M, or has a sample above everything
+    the envelope reaches (say, for an explicit beta that is too small),
+    raises HarnessError.  A linear-like law raises ClassificationError.
     """
     if kind == "auto":
         kind = "simplified" if _away_from_linear(law) else "general"
+    if kind not in ("general", "simplified"):
+        raise HarnessError(f"upper envelope kind must be general or simplified, got {kind!r}")
+    require_away_from_linear(law)
     e0 = trace.e0
     beta_v = beta if isinstance(beta, (int, float)) else beta_floor(law, e0)
     if window is None:
         window = default_fit_window(trace.t)
-    # the general envelope is expensive per point; calibrate on a subsample
-    max_pts = 256 if kind == "general" else None
-    ts, es = _window_samples(trace, window[0], max_points=max_pts)
-    c0 = _c0(law)
-    m_cap = float(ts[0]) * c0 / kappa
+    max_pts = GENERAL_ENVELOPE_POINTS if kind == "general" else None
+    ts, es = _window_samples(trace.t, trace.E, window[0], max_points=max_pts)
+    samples = list(zip(ts.tolist(), es.tolist()))
+    m_cap = samples[0][0] * _c0(law) / kappa
 
-    def dominates(m: float) -> bool:
-        env = DecayEnvelope(kind=kind, law=law, beta=beta_v, M=m, kappa=kappa)
-        for tv, ev in zip(ts, es):
-            if envelope_value(env, float(tv)) < ev:
-                return False
-        return True
-
-    if not dominates(m_cap):
-        raise HarnessError(
-            "upper-envelope calibration failed: trace cannot be dominated "
-            "with the envelope domain starting inside the window"
-        )
-    lo, hi = m_cap * 1e-8, m_cap
-    if dominates(lo):
-        hi = lo
-    else:
-        for _ in range(60):
-            mid = math.sqrt(lo * hi)  # geometric: M spans orders of magnitude
-            if dominates(mid):
-                hi = mid
-            else:
-                lo = mid
-            if hi / lo < 1.0 + 1e-6:
-                break
-    env = DecayEnvelope(kind=kind, law=law, beta=beta_v, M=hi, kappa=kappa)
-    env.extras["t_calibration"] = float(ts[0])
-    return env
+    env = DecayEnvelope(kind=kind, law=law, beta=beta_v, M=m_cap, kappa=kappa)
+    env.extras["t_calibration"] = samples[0][0]
+    try:
+        # in order of t, so each psi0 quadrature starts from the previous node
+        M = max(envelope_M(env, tv, ev) for tv, ev in samples)
+        if M == 0.0:
+            raise HarnessError("upper-envelope calibration failed: the required M underflows to 0")
+        for k in range(UPPER_CORRECTION_PASSES):
+            if not M <= m_cap:
+                raise HarnessError(UNDOMINATED)
+            env.M = M
+            shortfall = max(ev / envelope_value(env, tv) for tv, ev in samples)
+            if shortfall <= 1.0:
+                return env
+            # growing powers: the envelope can rise far slower than M, and a
+            # bare shortfall of 1e-13 drowns in the inverses' tolerances
+            M *= shortfall ** (8 ** (k + 1))
+    except (TransformError, LawError) as exc:
+        raise HarnessError(UNDOMINATED) from exc
+    raise HarnessError(
+        f"upper-envelope calibration failed: the envelope at M = {M:g} stays "
+        f"below the trace after {UPPER_CORRECTION_PASSES} corrections"
+    )
 
 
 def calibrate_lower(
@@ -508,13 +518,13 @@ def calibrate_lower(
         window = default_fit_window(trace.t)
     c0 = _c0(law)
     t_min = max(window[0], T0_v + 1.000001 / c0)
-    ts, es = _window_samples(trace, t_min)
+    ts, es = _window_samples(trace.t, trace.E, t_min)
     if isinstance(gamma_c, (int, float)):
         gc = float(gamma_c)
     else:
         # largest constant keeping the envelope at or below every sample
         gc = 0.0
-        for tv, ev in zip(ts, es):
+        for tv, ev in zip(ts.tolist(), es.tolist()):
             x = hprime_inv(law, min(1.0 / (tv - T0_v), c0))
             gc = max(gc, x / math.sqrt(ev))
     env = DecayEnvelope(

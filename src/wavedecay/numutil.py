@@ -76,8 +76,12 @@ def bisect_root(
     hi: float,
     xtol: float = 1e-12,
     max_iter: int = 200,
+    rtol: float = 0.0,
 ) -> float:
-    """Root of f on [lo, hi] by plain bisection; f(lo) and f(hi) must not share sign."""
+    """Root of f on [lo, hi] by plain bisection; f(lo) and f(hi) must not share sign.
+
+    Stops once the bracket is at most xtol + rtol * max(|lo|, |hi|) wide.
+    """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -94,7 +98,7 @@ def bisect_root(
             hi = mid
         else:
             lo = mid
-        if hi - lo <= xtol:
+        if hi - lo <= xtol + rtol * max(abs(lo), abs(hi)):
             break
     return 0.5 * (lo + hi)
 

@@ -17,9 +17,16 @@ with
 
 The simplified form requires limsup Lambda < 1 at 0; the linear law (and
 anything classified as linear-like) is rejected because the psi0 integrand
-degenerates.  beta, M, kappa and the lower-bound constants are calibration
-parameters carried by DecayEnvelope; the calibration helpers live in the
-harness module.
+degenerates.  Both upper envelopes depend on M only through t/M and increase
+with M, so the M at which an envelope passes through a point (t, E) has a
+closed form (envelope_M):
+
+    general:     M = t / psi0(1 / L^{-1}(E / 2 beta))
+    simplified:  M = t H'(E / 2 beta) / kappa
+
+beta, M, kappa and the lower-bound constants are calibration parameters
+carried by DecayEnvelope; the calibration helpers live in the harness module
+(the upper calibration takes the largest envelope_M over the samples).
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ from functools import lru_cache
 from collections.abc import Callable
 
 from .feedback import FeedbackLaw, eval_H, eval_H_prime, lambda_H, lambda_limit
-from .numutil import adaptive_simpson, bisect_root, invert_increasing
+from .numutil import adaptive_simpson, bisect_root
+from .numutil import invert_increasing  # noqa: F401  (a binding site perfbench/tracing.py wraps)
 
 
 class TransformError(ValueError):
@@ -67,7 +75,9 @@ def require_away_from_linear(law: FeedbackLaw) -> None:
 
 
 def hprime_inv(law: FeedbackLaw, y: float) -> float:
-    """(H')^{-1}(y) on [0, H'(r0^2)]: closed form for power laws, else bisection."""
+    """(H')^{-1}(y) on [0, H'(r0^2)]: closed form for power laws, else bisection
+    to 1e-12 relative (H' can be tiny where its inverse is not, and an absolute
+    tolerance there makes the psi0 integrand noisy)."""
     c0 = _c0(law)
     if y < 0.0 or y > c0 * (1.0 + 1e-12):
         raise TransformError(f"H' inverse domain is [0, {c0}], got {y}")
@@ -81,7 +91,7 @@ def hprime_inv(law: FeedbackLaw, y: float) -> float:
         if law.p == 1.0:
             raise ClassificationError("H' is constant for power p=1")
         return (2.0 * y / (law.p + 1.0)) ** (2.0 / (law.p - 1.0))
-    return bisect_root(lambda x: eval_H_prime(law, x) - y, 0.0, law.r0**2, xtol=1e-12)
+    return bisect_root(lambda x: eval_H_prime(law, x) - y, 0.0, law.r0**2, xtol=0.0, rtol=1e-12)
 
 
 def conjugate(law: FeedbackLaw, y: float) -> float:
@@ -113,69 +123,108 @@ def eval_L(law: FeedbackLaw, y: float) -> float:
     return conjugate(law, y) / y
 
 
+@lru_cache(maxsize=None)
+def _L_edge(law: FeedbackLaw) -> float:
+    """L(H'(r0^2)) = r0^2 (1 - Lambda(r0^2)), computed as inverse_L's bisection
+    computes it, so that every z below it is bracketed there."""
+    r2 = law.r0**2
+    return r2 * (1.0 - lambda_H(law, r2))
+
+
 def inverse_L(law: FeedbackLaw, z: float) -> float:
-    """The unique y >= 0 with L(y) = z, for z in [0, r0^2)."""
+    """The unique y >= 0 with L(y) = z, for z in [0, r0^2).
+
+    Beyond H'(r0^2), L(y) = r0^2 - H(r0^2)/y is inverted in closed form (this
+    covers all z > 0 for the linear law, where L(H'(r0^2)) = 0).  Below it,
+    L(H'(x)) = x (1 - Lambda(x)) rises with x, so x is found by bisection to
+    1e-12 relative and y = H'(x): y keeps its relative precision even where
+    H' is tiny (exp_inv_square at moderate z).
+    """
     r2 = law.r0**2
     if z < 0.0 or z >= r2:
         raise TransformError(f"inverse_L domain is [0, {r2}), got {z}")
     if z == 0.0:
         return 0.0
-    return invert_increasing(lambda y: eval_L(law, y), z, lo=0.0, xtol=1e-12)
+    if z >= _L_edge(law):
+        return _H_edge(law) / (r2 - z)
+    x = bisect_root(
+        lambda x: x * (1.0 - lambda_H(law, x)) - z if x > 0.0 else -z, 0.0, r2, xtol=0.0, rtol=1e-12
+    )
+    return eval_H_prime(law, x)
 
 
-# Cached cumulative values of the psi0 integral, per law: sorted thetas with
-# I(theta) = int_theta^c0.  Repeated evaluations (the inversion bisections
-# hammer nearby points) then only integrate short segments from the nearest
-# cached node above.
+# Cached cumulative values of the psi0 integral, per law: sorted xs with
+# I(x) = int_{1/c0}^x.  Repeated evaluations (the inversion bisections hammer
+# nearby points) then only integrate short segments from the nearest cached
+# node below.  Longer spans are integrated in cached pieces of ratio at most
+# _PSI0_STEP: the integrand varies with log x, which one adaptive Simpson
+# run cannot resolve across many decades.
 _PSI0_CACHE: dict[FeedbackLaw, tuple[list[float], list[float]]] = {}
 _PSI0_CACHE_CAP = 8192
+_PSI0_STEP = 16.0
 
 
 def _psi0_integrand(law: FeedbackLaw):
-    def integrand(theta: float) -> float:
-        xh = hprime_inv(law, theta)
+    def integrand(u: float) -> float:
+        xh = hprime_inv(law, 1.0 / u)
         lam = lambda_H(law, xh) if xh > 0.0 else 0.0
         denom = 1.0 - lam
         if denom <= 0.0:
             raise ClassificationError("psi0 integrand degenerates (Lambda -> 1)")
-        return 1.0 / (theta * theta * denom)
+        return 1.0 / denom
 
     return integrand
 
 
 def psi0_eval(law: FeedbackLaw, x: float) -> float:
-    """psi0(x) for x >= 1/H'(r0^2), by adaptive quadrature (rtol 1e-10)."""
+    """psi0(x) for x >= 1/H'(r0^2), by adaptive quadrature (rtol 1e-10).
+
+    With theta = 1/u the integral becomes int_{1/H'(r0^2)}^x du / (1 -
+    Lambda((H')^{-1}(1/u))), whose integrand lies in [1, 1/(1 - sup Lambda)]:
+    no 1/theta^2 growth, so x can reach 1e150 and beyond (exp_inv_square).
+    """
     require_away_from_linear(law)
-    c0 = _c0(law)
-    x_min = 1.0 / c0
+    x_min = 1.0 / _c0(law)
     if x < x_min * (1.0 - 1e-12):
         raise TransformError(f"psi0 domain is [{x_min}, inf), got {x}")
     if x <= x_min:
         return x_min
 
-    theta = 1.0 / x
-    thetas, values = _PSI0_CACHE.setdefault(law, ([c0], [0.0]))
-    i = _bisect.bisect_left(thetas, theta)
-    if i < len(thetas) and thetas[i] == theta:
+    xs, values = _PSI0_CACHE.setdefault(law, ([x_min], [0.0]))
+    i = _bisect.bisect_left(xs, x)
+    if i < len(xs) and xs[i] == x:
         return x_min + values[i]
-    anchor = i if i < len(thetas) else len(thetas) - 1
-    value = values[anchor] + adaptive_simpson(
-        _psi0_integrand(law), theta, thetas[anchor], rtol=1e-10
-    )
-    if len(thetas) < _PSI0_CACHE_CAP:
-        thetas.insert(i, theta)
-        values.insert(i, value)
+    integrand = _psi0_integrand(law)
+    node, value = xs[i - 1], values[i - 1]
+    while node < x:
+        top = min(x, node * _PSI0_STEP)
+        value += adaptive_simpson(integrand, node, top, rtol=1e-10)
+        node = top
+        if len(xs) < _PSI0_CACHE_CAP:
+            xs.insert(i, node)
+            values.insert(i, value)
+            i += 1
     return x_min + value
 
 
 def psi0_inverse(law: FeedbackLaw, tau: float) -> float:
-    """Inverse of psi0 by bisection with an expanding upper bracket."""
+    """Inverse of psi0 by bisection to 1e-12 relative.
+
+    The bracket is the pair of cached nodes around tau, so repeated
+    inversions near earlier ones (an envelope evaluated again at a nearby M)
+    take few steps.  Above the last node, 1 - Lambda <= 1 gives
+    psi0(x) >= x, so 2 tau bounds the root with room for quadrature error.
+    """
     x_min = 1.0 / _c0(law)
     if tau < x_min * (1.0 - 1e-12):
         raise TransformError(f"psi0 inverse domain is [{x_min}, inf), got {tau}")
     if tau <= x_min:
         return x_min
-    return invert_increasing(lambda x: psi0_eval(law, x), tau, lo=x_min, xtol=1e-10)
+    xs, values = _PSI0_CACHE.get(law, ([x_min], [0.0]))
+    # compared as psi0_eval returns them, so the bracket's signs are exact
+    j = _bisect.bisect_left(values, tau, key=lambda v: x_min + v)
+    hi = min(xs[j], 2.0 * tau) if j < len(xs) else 2.0 * tau
+    return bisect_root(lambda x: psi0_eval(law, x) - tau, xs[j - 1], hi, xtol=0.0, rtol=1e-12)
 
 
 @dataclass
@@ -252,6 +301,32 @@ def envelope_value(env: DecayEnvelope, t: float) -> float:
     if env.kind == "expo":
         return env.e0 * math.exp(1.0 - t / env.M)
     raise TransformError(f"unknown envelope kind {env.kind!r}")
+
+
+def envelope_M(env: DecayEnvelope, t: float, E_value: float) -> float:
+    """The time constant M at which an upper envelope passes through (t, E_value).
+
+    env supplies the kind, law, beta and kappa; its own M is ignored.  An
+    envelope with those parameters lies on or above E_value at t exactly when
+    its M is at least the returned value.  Raises TransformError when no M
+    reaches E_value: E_value / (2 beta) above L(H'(r0^2)) (general) or above
+    r0^2 (simplified), the largest values the envelopes take.
+    """
+    law = env.law
+    z = E_value / (2.0 * env.beta)
+    if env.kind == "general":
+        y = inverse_L(law, z)
+        x = 1.0 / y if y > 0.0 else math.inf
+        if math.isinf(x):  # H' underflows: psi0(x) overflows
+            return 0.0
+        # psi0's domain check rejects y > H'(r0^2), i.e. z > L(H'(r0^2))
+        return t / psi0_eval(law, x)
+    if env.kind == "simplified":
+        require_away_from_linear(law)
+        if z > law.r0**2:
+            raise TransformError(f"E/(2 beta) = {z} lies above the simplified envelope's range")
+        return t * eval_H_prime(law, z) / env.kappa
+    raise TransformError(f"envelope_M needs an upper envelope kind, got {env.kind!r}")
 
 
 def optimal_weight(

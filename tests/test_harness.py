@@ -5,6 +5,7 @@ import pytest
 
 import wavedecay as wd
 from wavedecay.harness import HarnessError
+from wavedecay.transforms import ClassificationError
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +164,88 @@ def test_calibrate_upper_dominates(power3):
     assert hi == pytest.approx(1.0, rel=1e-4)  # touches at the worst point
 
 
+# law parameters and the decay exponent a of a synthetic trace 2 (1+t)^-a
+# that the law's envelopes can dominate
+CALIBRATION_LAWS = {
+    "power3": (dict(family="power", p=3.0, r0=1.0), 1.0),
+    "exp_inv_square": (dict(family="exp_inv_square", r0=0.5), 0.5),
+    "power_log": (dict(family="power_log", p=3.0, q=2.0), 1.0),
+    "sub_exponential": (dict(family="sub_exponential", p=2.5), 0.5),
+}
+
+
+def _decay_trace(E):
+    """Trace on a short six-decade time grid with the given energy profile."""
+    t = np.geomspace(0.01, 2e3, 90)
+    return wd.EnergyTrace(t=t, E=E(t), E1=np.full_like(t, 10.0),
+                          dissipation=np.zeros_like(t), meta={"e1_0": "10.0"})
+
+
+def _reference_M(trace, law, kind):
+    """Smallest dominating M by geometric bisection on M, judged by
+    compare_to_envelope; the lower bracket grows downward until it fails."""
+    beta = wd.beta_floor(law, trace.e0)
+    window = wd.default_fit_window(trace.t)
+    t_cal = float(trace.t[trace.t >= window[0]][0])
+
+    def dominates(m):
+        env = wd.DecayEnvelope(kind=kind, law=law, beta=beta, M=m)
+        return wd.compare_to_envelope(trace, env, t_start=t_cal).envelope_margins[1] <= 1.0
+
+    hi = t_cal * wd.eval_H_prime(law, law.r0**2)
+    assert dominates(hi)
+    lo = hi
+    while dominates(lo):
+        lo *= 1e-8
+    while hi / lo > 1.0 + 1e-7:
+        mid = math.sqrt(lo * hi)
+        if dominates(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("kind", ["simplified", "general"])
+@pytest.mark.parametrize("law_name", sorted(CALIBRATION_LAWS))
+def test_calibrate_upper_contract(law_name, kind):
+    params, a = CALIBRATION_LAWS[law_name]
+    law = wd.make_feedback(**params)
+    tr = _decay_trace(lambda t: 2.0 * (1.0 + t) ** -a)
+    env = wd.calibrate_upper(tr, law, kind=kind)
+    assert type(env.M) is float
+    rep = wd.compare_to_envelope(tr, env, t_start=env.extras["t_calibration"])
+    assert 1.0 - 1e-6 <= rep.envelope_margins[1] <= 1.0 + 1e-9
+    assert env.M == pytest.approx(_reference_M(tr, law, kind), rel=1e-6)
+
+    flat = _decay_trace(lambda t: np.full_like(t, 2.0))  # needs M beyond the cap
+    with pytest.raises(HarnessError):
+        wd.calibrate_upper(flat, law, kind=kind)
+
+
+def test_calibrate_upper_below_old_search_floor(exp_inv):
+    # exp_inv_square traces can need an M far below m_cap * 1e-8, where a
+    # bisection floored there stopped with the max margin well under 1
+    tr = _decay_trace(lambda t: 2.0 * (1.0 + t) ** -0.5)
+    env = wd.calibrate_upper(tr, exp_inv, kind="simplified")
+    m_cap = env.extras["t_calibration"] * wd.eval_H_prime(exp_inv, exp_inv.r0**2)
+    assert env.M < 1e-8 * m_cap
+    rep = wd.compare_to_envelope(tr, env, t_start=env.extras["t_calibration"])
+    assert 1.0 - 1e-6 <= rep.envelope_margins[1] <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("kind", ["simplified", "general"])
+def test_calibrate_upper_errors(power3, exp_inv, linear_law, kind):
+    tr = _decay_trace(lambda t: 2.0 * (1.0 + t) ** -0.5)
+    with pytest.raises(HarnessError):  # E / (2 beta) above the range of L and of H'^-1
+        wd.calibrate_upper(tr, power3, kind=kind, beta=0.1)
+    with pytest.raises(ClassificationError):
+        wd.calibrate_upper(tr, linear_law, kind=kind)
+    fast = _decay_trace(lambda t: 2.0 * (1.0 + t) ** -2.0)
+    with pytest.raises(HarnessError):  # H'(E / 2 beta) underflows at every sample
+        wd.calibrate_upper(fast, exp_inv, kind=kind)
+
+
 def test_calibrate_lower_stays_below(power3):
     tr = _synthetic_trace(power3, -1.5)
     env = wd.calibrate_lower(tr, power3)
@@ -244,6 +327,15 @@ def test_run_experiment_damped(tmp_path):
     assert (tmp_path / "exp1.report.kv").exists()
     kv = (tmp_path / "exp1.report.kv").read_text()
     assert "geometry_1d=control/damping regions" in kv
+
+
+def test_run_experiment_summary_builtin_types(tmp_path):
+    cfg = wd.parse_config_text(P3_CONFIG.format(out=tmp_path))
+    res = wd.run_experiment(cfg, write_files=False)
+    assert "lower_C_s" in res.summary
+    bad = {k: type(v).__name__ for k, v in res.summary.items()
+           if type(v) not in (str, int, float, bool)}
+    assert not bad
 
 
 def test_run_experiment_deterministic(tmp_path):

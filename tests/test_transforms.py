@@ -226,6 +226,22 @@ def test_beta_floor_admits_initial_energy(power3):
     )
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(family="power", p=3.0, r0=1.0),
+    dict(family="exp_inv_square"),
+    dict(family="power_log", p=3.0, q=1.5),
+    dict(family="sub_exponential", p=2.5),
+])
+def test_beta_floor_admits_initial_energy_every_family(kwargs):
+    # E(0) / (2 beta_floor) rounds to either side of L(H'(r0^2)); inverse_L
+    # must bracket it on both
+    law = wd.make_feedback(**kwargs)
+    c0 = wd.eval_H_prime(law, law.r0**2)
+    for e0 in np.geomspace(1e-3, 1e3, 301):
+        e0 = float(e0)
+        assert wd.optimal_weight(law, e0, wd.beta_floor(law, e0)) == pytest.approx(c0, rel=1e-9)
+
+
 def test_weight_psi_r_values():
     w = lambda y: y
     assert wd.weight_psi_r(w, 1.0, 0.5, "K") == pytest.approx(1.0, rel=1e-9)
