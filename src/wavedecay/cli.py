@@ -27,6 +27,7 @@ from .config import ConfigError, load_config
 from .feedback import eval_H, eval_H_prime, lambda_H, make_feedback
 from .harness import (
     HarnessError,
+    _atomic_write,
     calibrate_lower,
     calibrate_upper,
     compare_to_envelope,
@@ -100,9 +101,7 @@ def _cmd_simulate(args) -> int:
     trace = run(cfg.sim, meta={"config_digest": cfg.digest, "name": cfg.name})
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, cfg.name + ".trace.csv")
-    tmp = path + ".tmp"
-    trace.to_csv(tmp)
-    os.replace(tmp, path)
+    _atomic_write(path, trace.csv_text())
     print(path)
     return PASS
 
@@ -123,8 +122,7 @@ def _cmd_fit(args) -> int:
     ]
     out = "\n".join(lines)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out + "\n")
+        _atomic_write(args.out, out + "\n")
     print(out)
     return PASS
 

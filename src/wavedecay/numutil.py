@@ -7,7 +7,6 @@ uniformly smooth near zero, so derivative-based iterations are avoided.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 
 MAX_SUBDIVISIONS = 10**6
@@ -126,21 +125,9 @@ def invert_increasing(
     return bisect_root(lambda x: f(x) - y, lo, hi, xtol=xtol)
 
 
-def trapezoid_nonuniform(t, f):
-    """Cumulative-free trapezoid of samples f over abscissae t."""
-    total = 0.0
-    for i in range(len(t) - 1):
-        total += 0.5 * (f[i] + f[i + 1]) * (t[i + 1] - t[i])
-    return total
-
-
 def log_midpoints(lo: float, hi: float, n: int) -> list[float]:
     """n points geometrically spaced on [lo, hi], lo > 0."""
     if n == 1:
         return [lo]
     ratio = (hi / lo) ** (1.0 / (n - 1))
     return [lo * ratio**k for k in range(n)]
-
-
-def isclose_rel(a: float, b: float, rtol: float) -> bool:
-    return math.isclose(a, b, rel_tol=rtol, abs_tol=0.0)

@@ -322,7 +322,9 @@ class EnergyTrace:
             meta=dict(self.meta),
         )
 
-    def to_csv(self, path) -> None:
+    def csv_text(self) -> str:
+        """The CSV form read by from_csv: sorted '# key=value' meta lines, a
+        header and one row per sample, every float in %.17g."""
         lines = []
         for key in sorted(self.meta):
             lines.append(f"# {key}={self.meta[key]}")
@@ -332,8 +334,11 @@ class EnergyTrace:
                 f"{self.t[i]:.17g},{self.E[i]:.17g},{self.E1[i]:.17g},"
                 f"{self.dissipation[i]:.17g}"
             )
+        return "\n".join(lines) + "\n"
+
+    def to_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(self.csv_text())
 
     @classmethod
     def from_csv(cls, path) -> "EnergyTrace":

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import pytest
 
@@ -42,7 +43,11 @@ def test_simulate_writes_trace(cfg_path, tmp_path, capsys):
     assert main(["simulate", "--config", cfg_path]) == 0
     printed = capsys.readouterr().out.strip()
     assert printed.endswith("cli1.trace.csv")
-    assert os.path.exists(printed)
+    first = (os.stat(printed).st_ino, Path(printed).read_bytes())
+    assert main(["simulate", "--config", cfg_path]) == 0
+    assert capsys.readouterr().out.strip() == printed
+    assert (os.stat(printed).st_ino, Path(printed).read_bytes()) == first
+    assert os.listdir(os.path.dirname(printed)) == ["cli1.trace.csv"]
 
 
 def test_simulate_full_pipeline(cfg_path, tmp_path, capsys):
@@ -54,9 +59,11 @@ def test_simulate_full_pipeline(cfg_path, tmp_path, capsys):
 def test_fit_subcommand(cfg_path, tmp_path, capsys):
     main(["simulate", "--config", cfg_path])
     trace = capsys.readouterr().out.strip()
-    assert main(["fit", "--trace", trace, "--mode", "power"]) == 0
+    report = tmp_path / "fit.kv"
+    assert main(["fit", "--trace", trace, "--mode", "power", "--out", str(report)]) == 0
     out = capsys.readouterr().out
     assert "slope=" in out and "r_squared=" in out
+    assert report.read_text() == out
 
 
 def test_compare_trace_subcommand(cfg_path, capsys):

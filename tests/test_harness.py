@@ -1,10 +1,12 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wavedecay as wd
-from wavedecay.harness import HarnessError
+from wavedecay.harness import HarnessError, _atomic_write
 from wavedecay.transforms import ClassificationError
 
 
@@ -339,13 +341,38 @@ def test_run_experiment_summary_builtin_types(tmp_path):
 
 
 def test_run_experiment_deterministic(tmp_path):
+    """A second run writes the same bytes and leaves every output file in place."""
     cfg_text = P3_CONFIG.format(out=tmp_path)
+    res = wd.run_experiment(wd.parse_config_text(cfg_text))
+    paths = [res.trace_path, res.report_kv, res.report_txt]
+    first = {p: (os.stat(p).st_ino, Path(p).read_bytes()) for p in paths}
     wd.run_experiment(wd.parse_config_text(cfg_text))
-    first = (tmp_path / "exp1.report.kv").read_bytes()
-    first_trace = (tmp_path / "exp1.trace.csv").read_bytes()
-    wd.run_experiment(wd.parse_config_text(cfg_text))
-    assert (tmp_path / "exp1.report.kv").read_bytes() == first
-    assert (tmp_path / "exp1.trace.csv").read_bytes() == first_trace
+    assert {p: (os.stat(p).st_ino, Path(p).read_bytes()) for p in paths} == first
+    assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(p) for p in paths)
+
+
+def test_atomic_write(tmp_path):
+    target = tmp_path / "out.txt"
+    path = str(target)
+    _atomic_write(path, "abc\n")
+    assert target.read_bytes() == b"abc\n"
+
+    # identical content: same inode and bytes, mtime not moved backwards
+    st = os.stat(path)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns - 10**9))
+    old_mtime = os.stat(path).st_mtime_ns
+    _atomic_write(path, "abc\n")
+    st2 = os.stat(path)
+    assert st2.st_ino == st.st_ino
+    assert st2.st_mtime_ns >= old_mtime
+    assert target.read_bytes() == b"abc\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+    # same size, different bytes, then a different size: both rewritten
+    for content in ("abd\n", "longer content\n"):
+        _atomic_write(path, content)
+        assert target.read_bytes() == content.encode()
+        assert os.listdir(tmp_path) == ["out.txt"]
 
 
 def test_run_experiment_undamped(tmp_path):

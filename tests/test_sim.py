@@ -272,6 +272,7 @@ def test_trace_csv_roundtrip(tmp_path, power3, damped_cfg):
     tr = wd.run(damped_cfg)
     path = tmp_path / "trace.csv"
     tr.to_csv(path)
+    assert path.read_bytes() == tr.csv_text().encode()
     back = wd.EnergyTrace.from_csv(path)
     assert np.array_equal(tr.t, back.t)
     assert np.array_equal(tr.E, back.E)
