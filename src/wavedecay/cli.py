@@ -7,7 +7,6 @@ Subcommands:
   compare    'trace': trace vs calibrated envelope; 'ode': comparison-ODE CSV
   suite      synthetic decay-bound suite plus quick invariant batteries
   sweep      run every config in a directory through the full pipeline
-  bench      time the numba kernel against the numpy fallback
 
 Exit codes: 0 on pass, 1 on any failed assertion, 2 on config errors.
 """
@@ -18,11 +17,9 @@ import argparse
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
-from . import _kernels
 from .config import ConfigError, load_config
 from .feedback import eval_H, eval_H_prime, lambda_H, make_feedback
 from .harness import (
@@ -38,7 +35,7 @@ from .harness import (
 )
 from .numutil import log_midpoints
 from .odecmp import ComparisonError, K_inverse, hfl_screen, solve_comparison
-from .sim import EnergyTrace, SimConfig, SimError, init_state, run
+from .sim import EnergyTrace, SimConfig, SimError, run
 from .transforms import DecayEnvelope, TransformError, envelope_value, eval_L
 
 PASS, FAIL, CONFIG_ERR = 0, 1, 2
@@ -259,41 +256,6 @@ def _cmd_sweep(args) -> int:
     return code
 
 
-def _cmd_bench(args) -> int:
-    law = make_feedback("power", p=3.0, r0=1.0)
-    from .feedback import CoefficientField
-
-    cfg = SimConfig(
-        law=law,
-        alpha_field=CoefficientField("indicator", (0.4, 0.9), 0.2),
-        a_field=CoefficientField("indicator", (0.2, 0.6), 1.0),
-        n=args.n,
-        cfl=0.9,
-        t_final=1e9,  # not used; we advance manually
-    )
-    results = {}
-    for name, kernel in (("numba", _kernels.advance_numba), ("numpy", _kernels.advance_numpy)):
-        if kernel is None:
-            print(f"{name:6s}  unavailable")
-            continue
-        state = init_state(cfg)
-        lawt = (law.code, law.p, law.q, law.s_sat, law.g_sat)
-        # warm-up covers jit compilation
-        kernel(state.u_prev, state.u_curr, state.v_prev, state.v_curr,
-               state.alpha, state.a, state.dt, state.dx, 10, *lawt, 1e-13, 200)
-        t0 = time.perf_counter()
-        kernel(state.u_prev, state.u_curr, state.v_prev, state.v_curr,
-               state.alpha, state.a, state.dt, state.dx, args.steps, *lawt, 1e-13, 200)
-        dt = time.perf_counter() - t0
-        results[name] = dt
-        print(f"{name:6s}  {args.steps} steps, n={args.n}: {dt:.3f} s "
-              f"({1e6 * dt / args.steps:.1f} us/step)")
-    if len(results) == 2:
-        print(f"speedup numba vs numpy: {results['numpy'] / results['numba']:.1f}x")
-    print(f"active backend: {_kernels.active_backend()}")
-    return PASS
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="wavedecay")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -342,11 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--jobs", type=int, default=1, help="parallel workers (experiments are independent)")
     p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("bench", help="time the numba kernel against the numpy fallback")
-    p.add_argument("--n", type=int, default=399)
-    p.add_argument("--steps", type=int, default=20000)
-    p.set_defaults(func=_cmd_bench)
     return ap
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .feedback import CoefficientField, FeedbackLaw, LawError, make_feedback
 from .sim import DEFAULT_ALPHA_MAX, SimConfig, SimError
@@ -203,7 +203,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
     out_dir = osec.get("dir", "out") if osec else "out"
     name = osec.get("name", "experiment") if osec else "experiment"
 
-    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    # The digest covers the parsed physics only: comments, formatting and
+    # [output] leave it, and so the config_digest line of every output, alone.
+    physics = repr([asdict(part) for part in (law, sim, env, fit)])
+    digest = hashlib.sha256(physics.encode()).hexdigest()[:16]
     return ExperimentConfig(
         law=law,
         sim=sim,

@@ -196,27 +196,6 @@ def _g_raw(family: str, p: float, q: float, x: float) -> float:
     return math.exp(-math.log(1.0 / x) ** p)
 
 
-def _g_prime_raw(family: str, p: float, q: float, x: float) -> float:
-    if x <= 0.0:
-        # all supported families have g'(0) = 0 except the linear one
-        return 1.0 if family == "linear" else 0.0
-    if family == "linear":
-        return 1.0
-    if family == "power":
-        return p * x ** (p - 1.0)
-    if family == "exp_inv_square":
-        if x < _TINY:
-            return 0.0
-        return math.exp(-1.0 / (x * x)) * 2.0 / (x * x * x)
-    ell = math.log(1.0 / x)
-    if family == "power_log":
-        return x ** (p - 1.0) * ell ** (q - 1.0) * (p * ell - q)
-    # sub_exponential
-    if ell <= 0.0:
-        return 0.0
-    return math.exp(-(ell**p)) * p * ell ** (p - 1.0) / x
-
-
 def eval_g(law: FeedbackLaw, x: float) -> float:
     """g(x) on [0, r0]."""
     if x < 0.0 or x > law.r0:
@@ -348,13 +327,6 @@ def ghat(law: FeedbackLaw, s: float) -> float:
     else:
         v = _g_raw(law.family, law.p, law.q, a)
     return v if s > 0.0 else -v
-
-
-def ghat_prime(law: FeedbackLaw, s: float) -> float:
-    a = abs(s)
-    if a >= law.s_sat:
-        return law.g_sat / law.s_sat
-    return _g_prime_raw(law.family, law.p, law.q, a)
 
 
 def rho_eval(law: FeedbackLaw, a_value: float, s: float) -> float:

@@ -5,6 +5,11 @@ after constants, E(t) >= (gamma_s C_s)^{-2} ((H')^{-1}(1/(t - T0)))^2 for
 large t.  The ODE is integrated in log coordinates (w = ln z) so positivity
 is structural; since H(0) = H'(0) = 0, z never reaches zero in finite time
 and H(z)/z -> 0, keeping the log-form right-hand side smooth.
+
+scipy is imported inside `solve_comparison`, the one function that needs
+it, so importing this module (and the package) does not load scipy; the
+lower envelope, the K integral and the screening use only numpy and
+`numutil`.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .feedback import FeedbackLaw, eval_H, eval_H_prime, lambda_H
 from .numutil import adaptive_simpson, bisect_root
@@ -57,7 +61,9 @@ def solve_comparison(
     """Integrate z' = -kappa H(z), z(0) = z0 in (0, r0^2], up to the horizon.
 
     Adaptive RK45 at rtol 1e-10 on w = ln z; samples are returned on a grid
-    that is linear near 0 and geometric in the tail.
+    that is linear near 0 and geometric in the tail.  This is the only place
+    the package imports scipy (`scipy.integrate.solve_ivp`); the import runs
+    on the first call.
     """
     if kappa <= 0.0:
         raise ComparisonError("kappa must be positive")
@@ -66,6 +72,8 @@ def solve_comparison(
         raise ComparisonError(f"z0 must lie in (0, {r2}], got {z0}")
     if horizon <= 0.0:
         raise ComparisonError("horizon must be positive")
+
+    from scipy.integrate import solve_ivp  # here, not at module level: see the module docstring
 
     def rhs(_t, w):
         return (-kappa * _H_over_z(law, math.exp(w[0])),)

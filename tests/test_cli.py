@@ -117,8 +117,3 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
 
-
-def test_bench_runs(capsys):
-    assert main(["bench", "--n", "49", "--steps", "500"]) == 0
-    out = capsys.readouterr().out
-    assert "active backend" in out

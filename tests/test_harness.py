@@ -392,3 +392,14 @@ def test_config_validation_errors():
         wd.parse_config_text("[law]\nfamily = power\np = 3\n[grid]\nteeth = 9\n")
     with pytest.raises(wd.ConfigError):
         wd.parse_config_text("no sections at all")
+
+
+def test_config_digest_covers_physics_only(tmp_path):
+    """Comments and [output] leave the digest alone; a physics change moves it."""
+    base = wd.parse_config_text(P3_CONFIG.format(out=tmp_path / "a")).digest
+    commented = "# a comment\n" + P3_CONFIG.format(out=tmp_path / "b").replace(
+        "n = 99", "n = 99  ; grid size"
+    )
+    assert wd.parse_config_text(commented).digest == base
+    other_p = P3_CONFIG.format(out=tmp_path / "a").replace("p = 3.0", "p = 5.0", 1)
+    assert wd.parse_config_text(other_p).digest != base

@@ -1,0 +1,47 @@
+"""Cold start: the package and every experiment path load no scipy.
+
+scipy is needed only by the comparison ODE (`odecmp.solve_comparison`),
+which imports it when called.  Each check runs in a fresh interpreter,
+because this test process has scipy loaded already.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+PROBE = textwrap.dedent(
+    """
+    import dataclasses
+    import sys
+
+    sys.path.insert(0, sys.argv[1])
+
+    import wavedecay
+    import wavedecay.cli
+    assert "scipy" not in sys.modules, "importing the package loaded scipy"
+
+    cfg = wavedecay.load_config(sys.argv[2])
+    cfg.sim = dataclasses.replace(cfg.sim, n=49, t_final=20.0, stride=20)
+    res = wavedecay.run_experiment(cfg, write_files=False)
+    assert res.summary["n"] == 49
+    assert "scipy" not in sys.modules, "run_experiment loaded scipy"
+
+    law = wavedecay.make_feedback("power", p=3.0, r0=1.0)
+    wavedecay.solve_comparison(law, 1.0, 1.0, horizon=10.0)
+    assert "scipy.integrate" in sys.modules
+    print("ok")
+    """
+)
+
+
+def test_scipy_loads_only_for_the_comparison_ode():
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE, os.path.join(ROOT, "src"),
+         os.path.join(ROOT, "configs", "cubic_damping.ini")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "ok"
