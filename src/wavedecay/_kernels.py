@@ -1,13 +1,18 @@
-"""Time-stepping kernels for the coupled wave system.
+"""Time-stepping kernels for the coupled wave system, and the damping law.
+
+The scalar functions `_g`, `_ghat` and `_ghat_prime` below are the
+package's one definition of the growth law g, its odd saturated extension
+ghat and their derivative.  `feedback` calls the undecorated Python source
+of `_g` and `_ghat`, so importing it compiles nothing and its g, H and g_sat
+never depend on numba (with numba installed, `_ghat`'s source still calls
+the compiled `_g`).
 
 Two interchangeable implementations of the same update:
 
-  * a numba @njit kernel (default when numba imports cleanly; numba is
-    the package's optional `jit` extra), and
-  * a vectorized pure-numpy fallback.
+  * a numba @njit kernel, used when numba imports (numba is the package's
+    optional `jit` extra), and
+  * a vectorized pure-numpy fallback, used otherwise.
 
-Selection: set WAVEDECAY_BACKEND=numpy to force the fallback, or
-WAVEDECAY_BACKEND=numba to insist on the jit path (import error otherwise).
 Both paths implement identical arithmetic: the numpy step performs the jit
 source's floating-point operations in the same order, node solve included,
 so the two agree bit for bit wherever numpy's vectorized pow/exp/log round
@@ -34,29 +39,17 @@ State arrays are padded: length n + 2 with fixed zeros at both ends.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_TINY = 1e-150
+_TINY = 1e-150  # below this the essential-singularity families are flushed to 0
 
-_requested = os.environ.get("WAVEDECAY_BACKEND", "").strip().lower()
-if _requested not in ("", "numba", "numpy"):
-    raise RuntimeError(f"WAVEDECAY_BACKEND must be 'numba' or 'numpy', got {_requested!r}")
+try:
+    from numba import njit
 
-if _requested == "numpy":
+    _HAVE_NUMBA = True
+except ImportError:
     _HAVE_NUMBA = False
-else:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _requested == "numba":
-            raise
-        _HAVE_NUMBA = False
-
-if not _HAVE_NUMBA:
 
     def njit(*args, **kwargs):  # no-op decorator so the jit source stays importable
         if args and callable(args[0]):
@@ -65,22 +58,31 @@ if not _HAVE_NUMBA:
 
 
 @njit(cache=True)
+def _g(a, fam, p, q):
+    """g(a) for a > 0; fam is the index of the family in `feedback.FAMILIES`."""
+    if fam == 0:
+        return a
+    if fam == 1:
+        return a**p
+    if fam == 2:
+        return 0.0 if a < _TINY else math.exp(-1.0 / (a * a))
+    if fam == 3:
+        return a**p * math.log(1.0 / a) ** q
+    if a >= 1.0:  # log(1/a)**p would be complex for a > 1
+        return 1.0
+    return math.exp(-math.log(1.0 / a) ** p)
+
+
+@njit(cache=True)
 def _ghat(s, fam, p, q, s_sat, g_sat):
+    """Odd extension of g, continued linearly beyond s_sat."""
     if s == 0.0:
         return 0.0
     a = -s if s < 0.0 else s
     if a >= s_sat:
         v = g_sat / s_sat * a
-    elif fam == 0:
-        v = a
-    elif fam == 1:
-        v = a**p
-    elif fam == 2:
-        v = 0.0 if a < _TINY else math.exp(-1.0 / (a * a))
-    elif fam == 3:
-        v = a**p * math.log(1.0 / a) ** q
     else:
-        v = math.exp(-math.log(1.0 / a) ** p)
+        v = _g(a, fam, p, q)
     return v if s > 0.0 else -v
 
 
@@ -429,7 +431,6 @@ else:
     advance = _advance_numpy
 
 advance_numpy = _advance_numpy
-advance_numba = _advance_numba if _HAVE_NUMBA else None
 
 
 def active_backend() -> str:

@@ -79,8 +79,16 @@ class ExperimentConfig:
     fit: FitParams = field(default_factory=FitParams)
     out_dir: str = "out"
     name: str = "experiment"
-    digest: str = ""
-    raw_text: str = ""
+
+    @property
+    def digest(self) -> str:
+        """Hash of the parsed physics, taken from the fields as they are now.
+
+        Comments, formatting and [output] leave it, and so the config_digest
+        line of every output, alone; replacing `sim` or `law` moves it.
+        """
+        physics = repr([asdict(part) for part in (self.law, self.sim, self.envelope, self.fit)])
+        return hashlib.sha256(physics.encode()).hexdigest()[:16]
 
 
 def _coeff_field(sec, prefix: str) -> CoefficientField | None:
@@ -203,20 +211,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     out_dir = osec.get("dir", "out") if osec else "out"
     name = osec.get("name", "experiment") if osec else "experiment"
 
-    # The digest covers the parsed physics only: comments, formatting and
-    # [output] leave it, and so the config_digest line of every output, alone.
-    physics = repr([asdict(part) for part in (law, sim, env, fit)])
-    digest = hashlib.sha256(physics.encode()).hexdigest()[:16]
-    return ExperimentConfig(
-        law=law,
-        sim=sim,
-        envelope=env,
-        fit=fit,
-        out_dir=out_dir,
-        name=name,
-        digest=digest,
-        raw_text=text,
-    )
+    return ExperimentConfig(law=law, sim=sim, envelope=env, fit=fit, out_dir=out_dir, name=name)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -11,9 +11,11 @@ its derivative H', and the classification ratio
     Lambda(x) = H(x) / (x * H'(x)),
 
 whose behaviour as x -> 0+ separates laws that are close to linear
-(Lambda -> 1) from the rest.  All evaluators below use per-family closed
-forms; the quotient definition of Lambda is algebraically simplified per
-family so it stays finite where H itself underflows.
+(Lambda -> 1) from the rest.  g and its odd extension ghat are the
+simulation kernel's scalar functions (`_kernels._g`, `_kernels._ghat`),
+called as plain Python.  H' and Lambda use per-family closed forms; the
+quotient definition of Lambda is algebraically simplified per family so it
+stays finite where H itself underflows.
 """
 
 from __future__ import annotations
@@ -23,12 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
+
 FAMILIES = ("linear", "power", "exp_inv_square", "power_log", "sub_exponential")
 
 # Integer codes shared with the simulation kernels.
 FAMILY_CODES = {name: i for i, name in enumerate(FAMILIES)}
 
-_TINY = 1e-150  # below this the essential-singularity families are flushed to 0
+# the undecorated jit source; see the `_kernels` docstring for what numba still reaches
+_g = getattr(_kernels._g, "py_func", _kernels._g)
+_ghat = getattr(_kernels._ghat, "py_func", _kernels._ghat)
 
 
 class LawError(ValueError):
@@ -171,36 +177,17 @@ def make_feedback(
         raise LawError("eps_clip must lie in (0, r0^2)")
 
     s_sat = min(1.0, r0v)
-    g_sat = _g_raw(family, pv, qv, s_sat)
+    g_sat = _g(s_sat, FAMILY_CODES[family], pv, qv)
     return FeedbackLaw(
         family=family, p=pv, q=qv, r0=r0v, eps_clip=eps_clip, s_sat=s_sat, g_sat=g_sat
     )
-
-
-def _g_raw(family: str, p: float, q: float, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    if family == "linear":
-        return x
-    if family == "power":
-        return x**p
-    if family == "exp_inv_square":
-        if x < _TINY:
-            return 0.0
-        return math.exp(-1.0 / (x * x))
-    if family == "power_log":
-        return x**p * math.log(1.0 / x) ** q
-    # sub_exponential
-    if x >= 1.0:
-        return 1.0
-    return math.exp(-math.log(1.0 / x) ** p)
 
 
 def eval_g(law: FeedbackLaw, x: float) -> float:
     """g(x) on [0, r0]."""
     if x < 0.0 or x > law.r0:
         raise LawError(f"g domain is [0, {law.r0}], got {x}")
-    return _g_raw(law.family, law.p, law.q, x)
+    return _g(x, FAMILY_CODES[law.family], law.p, law.q) if x > 0.0 else 0.0
 
 
 def eval_H(law: FeedbackLaw, x: float) -> float:
@@ -211,7 +198,8 @@ def eval_H(law: FeedbackLaw, x: float) -> float:
     if x <= 0.0:
         return 0.0
     s = math.sqrt(x)
-    return s * _g_raw(law.family, law.p, law.q, s)
+    # FAMILY_CODES, not the `code` property: a property call adds a fifth to eval_H
+    return s * _g(s, FAMILY_CODES[law.family], law.p, law.q)
 
 
 def eval_H_prime(law: FeedbackLaw, x: float) -> float:
@@ -227,9 +215,10 @@ def eval_H_prime(law: FeedbackLaw, x: float) -> float:
     if fam == "power":
         return 0.5 * (p + 1.0) * x ** (0.5 * (p - 1.0))
     if fam == "exp_inv_square":
-        if x < _TINY:
+        e = math.exp(-1.0 / x)
+        if e == 0.0:  # x below about 1.3e-3; for tiny x, 1/x is inf and 0 * inf nan
             return 0.0
-        return math.exp(-1.0 / x) / math.sqrt(x) * (0.5 + 1.0 / x)
+        return e / math.sqrt(x) * (0.5 + 1.0 / x)
     ell = math.log(1.0 / math.sqrt(x))
     if fam == "power_log":
         return 0.5 * x ** (0.5 * (p - 1.0)) * ell ** (q - 1.0) * ((p + 1.0) * ell - q)
@@ -259,20 +248,21 @@ def lambda_H(law: FeedbackLaw, x: float) -> float:
     return 2.0 / (1.0 + p * ell ** (p - 1.0))
 
 
-def lambda_limit(law: FeedbackLaw) -> float:
-    """Estimate of limsup_{x->0+} Lambda(x).
-
-    Sampled on the geometric sequence x_k = r0^2 * 2^-k, k <= 60, floored at
-    eps_clip; the estimate is the max over the ten deepest distinct samples.
-    """
+def deepest_samples(law: FeedbackLaw) -> list[float]:
+    """The ten deepest distinct points of x_k = r0^2 * 2^-k, k <= 60, floored
+    at eps_clip: where the limits of Lambda as x -> 0+ are estimated."""
     r2 = law.r0**2
     xs: list[float] = []
     for k in range(61):
         x = max(r2 * 2.0**-k, law.eps_clip)
         if not xs or x != xs[-1]:
             xs.append(x)
-    deepest = xs[-10:]
-    return max(lambda_H(law, x) for x in deepest)
+    return xs[-10:]
+
+
+def lambda_limit(law: FeedbackLaw) -> float:
+    """Estimate of limsup_{x->0+} Lambda(x): the max over `deepest_samples`."""
+    return max(lambda_H(law, x) for x in deepest_samples(law))
 
 
 @dataclass(frozen=True)
@@ -319,14 +309,7 @@ def convexity_check(law: FeedbackLaw, samples: int = 10_000) -> ConvexityReport:
 
 def ghat(law: FeedbackLaw, s: float) -> float:
     """Odd, nondecreasing extension of g: equal to g below s_sat, linear beyond."""
-    a = abs(s)
-    if a == 0.0:
-        return 0.0
-    if a >= law.s_sat:
-        v = law.g_sat / law.s_sat * a
-    else:
-        v = _g_raw(law.family, law.p, law.q, a)
-    return v if s > 0.0 else -v
+    return _ghat(s, FAMILY_CODES[law.family], law.p, law.q, law.s_sat, law.g_sat)
 
 
 def rho_eval(law: FeedbackLaw, a_value: float, s: float) -> float:

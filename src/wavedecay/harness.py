@@ -392,12 +392,10 @@ def compare_to_envelope(
     env = np.array([envelope_value(envelope, float(tv)) for tv in ts])
     ratios = es / env
     margins = (float(np.min(ratios)), float(np.max(ratios)))
-    if envelope.kind in ("general", "simplified", "poly", "expo"):
-        passed = margins[1] <= UPPER_MARGIN_SLACK
-    elif envelope.kind == "lower":
+    if envelope.kind == "lower":
         passed = margins[0] >= LOWER_MARGIN_SLACK
     else:
-        passed = None
+        passed = margins[1] <= UPPER_MARGIN_SLACK
     return FitReport(
         slope=math.nan,
         stderr=math.nan,

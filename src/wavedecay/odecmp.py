@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .feedback import FeedbackLaw, eval_H, eval_H_prime, lambda_H
+from .feedback import FeedbackLaw, deepest_samples, eval_H, eval_H_prime, lambda_H
 from .numutil import adaptive_simpson, bisect_root
 from .transforms import DecayEnvelope, TransformError, _c0, hprime_inv
 
@@ -152,13 +152,7 @@ def hfl_screen(law: FeedbackLaw) -> bool:
     Linear-like laws (limsup Lambda ~ 1) are rejected.
     """
     r2 = law.r0**2
-    xs = []
-    for k in range(61):
-        x = max(r2 * 2.0**-k, law.eps_clip)
-        if not xs or x != xs[-1]:
-            xs.append(x)
-    deepest = xs[-10:]
-    lams = [lambda_H(law, x) for x in deepest]
+    lams = [lambda_H(law, x) for x in deepest_samples(law)]
     limsup_est = max(lams)
     liminf_est = min(lams)
     if limsup_est >= 1.0 - 1e-9:

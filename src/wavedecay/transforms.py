@@ -235,8 +235,6 @@ class DecayEnvelope:
     M, and for the simplified form the extra factor kappa).  kind 'lower' is
     the lower bound with constants gamma_s (4 sqrt of the initial first-order
     energy), C_s from the comparison argument, and time shifts T0, T1.
-    kind 'poly' / 'expo' are the closed-form bounds used by the synthetic
-    integral-inequality checks (parameters e0, M/alpha, resp. e0, T).
     """
 
     kind: str
@@ -248,8 +246,6 @@ class DecayEnvelope:
     T1: float = 0.0
     gamma_s: float = 1.0
     C_s: float = 1.0
-    e0: float = 1.0
-    alpha: float = 1.0
     extras: dict = field(default_factory=dict)
 
     def domain_start(self) -> float:
@@ -259,8 +255,6 @@ class DecayEnvelope:
             return self.kappa * self.M / _c0(self.law)
         if self.kind == "lower":
             return max(self.T1 + self.T0, self.T0 + 1.0 / _c0(self.law))
-        if self.kind == "expo":
-            return self.M
         return 0.0
 
     def __call__(self, t: float) -> float:
@@ -295,11 +289,6 @@ def envelope_value(env: DecayEnvelope, t: float) -> float:
         from .odecmp import lower_envelope
 
         return lower_envelope(env, t)
-    if env.kind == "poly":
-        a = env.alpha
-        return env.e0 * min(1.0, (env.M * (a + 1.0) / (env.M + a * env.e0**a * t)) ** (1.0 / a))
-    if env.kind == "expo":
-        return env.e0 * math.exp(1.0 - t / env.M)
     raise TransformError(f"unknown envelope kind {env.kind!r}")
 
 

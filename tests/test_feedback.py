@@ -101,8 +101,19 @@ def test_nonlinear_families_vanish_at_zero():
         dict(family="sub_exponential", p=3.0),
     ):
         law = wd.make_feedback(**kwargs)
+        assert wd.eval_g(law, 0.0) == 0.0
         assert wd.eval_H(law, 0.0) == 0.0
         assert wd.eval_H_prime(law, 0.0) == 0.0
+
+
+def test_sub_exponential_at_one():
+    """exp(-ln(1/x)^p) is complex for x > 1; g is 1 from x = 1 on, so H
+    stays finite on the slack its domain check allows beyond r0^2 = 1."""
+    law = wd.make_feedback("sub_exponential", p=2.5, r0=1.0)
+    h = wd.eval_H(law, 1.0 + 1e-12)
+    assert math.isfinite(h) and h == pytest.approx(1.0, rel=1e-11)
+    g = wd.eval_g(law, 1.0)
+    assert math.isfinite(g) and g == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

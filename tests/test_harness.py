@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 from pathlib import Path
@@ -403,3 +404,17 @@ def test_config_digest_covers_physics_only(tmp_path):
     assert wd.parse_config_text(commented).digest == base
     other_p = P3_CONFIG.format(out=tmp_path / "a").replace("p = 3.0", "p = 5.0", 1)
     assert wd.parse_config_text(other_p).digest != base
+
+
+def test_config_digest_follows_replaced_sim(tmp_path):
+    """A run whose sim was replaced after parsing carries that run's digest."""
+    text = P3_CONFIG.format(out=tmp_path)
+    cfg = wd.parse_config_text(text)
+    parsed = cfg.digest
+    cfg.sim = dataclasses.replace(cfg.sim, n=49, t_final=20.0)
+    smaller = text.replace("n = 99", "n = 49").replace("t_final = 60", "t_final = 20")
+    assert cfg.digest != parsed
+    assert cfg.digest == wd.parse_config_text(smaller).digest
+    res = wd.run_experiment(cfg)
+    assert res.summary["config_digest"] == cfg.digest
+    assert f"# config_digest={cfg.digest}" in Path(res.trace_path).read_text().splitlines()

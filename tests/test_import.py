@@ -1,10 +1,15 @@
-"""Cold start: the package and every experiment path load no scipy.
+"""Import-level checks.
 
-scipy is needed only by the comparison ODE (`odecmp.solve_comparison`),
-which imports it when called.  Each check runs in a fresh interpreter,
-because this test process has scipy loaded already.
+Cold start: the package and every experiment path load no scipy.  scipy is
+needed only by the comparison ODE (`odecmp.solve_comparison`), which imports
+it when called.  That check runs in a fresh interpreter, because this test
+process has scipy loaded already.
+
+Binding sites: the benchmark's tracer (`perfbench/tracing.py`) wraps package
+functions by module and attribute name, so each name it lists must exist.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -45,3 +50,21 @@ def test_scipy_loads_only_for_the_comparison_ode():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip().splitlines()[-1] == "ok"
+
+
+def test_benchmark_tracer_binding_sites_exist():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py")
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    import wavedecay as wd
+
+    advance = wd._kernels.advance
+    tracer = tracing.Tracer(wd)
+    try:
+        tracer.install()  # KeyError when a wrapped name no longer exists
+        assert wd._kernels.advance is not advance
+    finally:
+        tracer.uninstall()
+    assert wd._kernels.advance is advance
