@@ -21,20 +21,22 @@ import sys
 import numpy as np
 
 from .config import ConfigError, load_config
-from .feedback import eval_H, eval_H_prime, lambda_H, make_feedback
+from .feedback import LawError, eval_H, eval_H_prime, lambda_H, make_feedback
 from .harness import (
+    LOWER_UNSCREENED,
     HarnessError,
     _atomic_write,
+    _fmt,
     calibrate_lower,
     calibrate_upper,
-    compare_to_envelope,
     default_fit_window,
+    envelope_summary,
     fit_tail_exponent,
     lemma_suite,
     run_experiment,
 )
 from .numutil import log_midpoints
-from .odecmp import ComparisonError, K_inverse, hfl_screen, solve_comparison
+from .odecmp import ComparisonError, K_inverse, solve_comparison
 from .sim import EnergyTrace, SimConfig, SimError, run
 from .transforms import DecayEnvelope, TransformError, envelope_value, eval_L
 
@@ -53,6 +55,13 @@ def _parse_grid(text: str, default_lo: float, default_hi: float, default_n: int 
     return log_midpoints(lo, hi, n)
 
 
+def _load_trace(path: str) -> EnergyTrace:
+    try:
+        return EnergyTrace.from_csv(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read trace {path}: {exc}") from exc
+
+
 def _cmd_calc(args) -> int:
     cfg = load_config(args.config)
     law = cfg.law
@@ -67,11 +76,13 @@ def _cmd_calc(args) -> int:
 
     kind = args.kind or (cfg.envelope.kind if cfg.envelope.kind != "auto" else "simplified")
     if args.trace:
-        trace = EnergyTrace.from_csv(args.trace)
+        trace = _load_trace(args.trace)
+        window = default_fit_window(trace.t, cfg.fit.window)
+        ecfg = cfg.envelope
         if kind == "lower":
-            env = calibrate_lower(trace, law, gamma_c=cfg.envelope.gamma_c, T0=cfg.envelope.T0)
+            env = calibrate_lower(trace, law, gamma_c=ecfg.gamma_c, T0=ecfg.T0, T1=ecfg.T1, window=window)
         else:
-            env = calibrate_upper(trace, law, kind=kind, beta=cfg.envelope.beta, kappa=cfg.envelope.kappa)
+            env = calibrate_upper(trace, law, kind=kind, beta=ecfg.beta, kappa=ecfg.kappa, window=window)
     else:
         beta = cfg.envelope.beta if isinstance(cfg.envelope.beta, float) else 1.0
         M = cfg.envelope.M if isinstance(cfg.envelope.M, float) else 1.0
@@ -104,9 +115,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    trace = EnergyTrace.from_csv(args.trace)
-    fracs = tuple(float(x) for x in args.window_frac.split(","))
-    window = default_fit_window(trace.t, fracs)  # type: ignore[arg-type]
+    trace = _load_trace(args.trace)
+    window = None
+    if args.window_frac:
+        fracs = tuple(float(x) for x in args.window_frac.split(","))
+        window = default_fit_window(trace.t, fracs)  # type: ignore[arg-type]
     rep = fit_tail_exponent(trace, window=window, mode=args.mode, stretch_p=args.stretch_p)
     lines = [
         f"mode={rep.mode}",
@@ -125,36 +138,17 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_compare_trace(args) -> int:
+    """Print the run's envelope report lines; exit 1 on a failed envelope or calibration."""
     cfg = load_config(args.config)
-    trace = EnergyTrace.from_csv(args.trace)
-    fracs = tuple(float(x) for x in args.window_frac.split(","))
-    window = default_fit_window(trace.t, fracs)  # type: ignore[arg-type]
-    code = PASS
-    upper = calibrate_upper(
-        trace, cfg.law, kind=cfg.envelope.kind, beta=cfg.envelope.beta,
-        kappa=cfg.envelope.kappa, window=window,
+    trace = _load_trace(args.trace)
+    entries = envelope_summary(trace, cfg, default_fit_window(trace.t, cfg.fit.window))
+    for k, v in entries.items():
+        print(f"{k}={_fmt(v)}")
+    failed = any(
+        v is False or (k.endswith("_envelope") and v != LOWER_UNSCREENED)
+        for k, v in entries.items()
     )
-    rep_u = compare_to_envelope(trace, upper, t_start=upper.extras["t_calibration"])
-    print(f"upper_kind={upper.kind}")
-    print(f"upper_margin_min={rep_u.envelope_margins[0]:.12g}")
-    print(f"upper_margin_max={rep_u.envelope_margins[1]:.12g}")
-    print(f"upper_pass={rep_u.passed}")
-    if not rep_u.passed:
-        code = FAIL
-    if hfl_screen(cfg.law):
-        lower = calibrate_lower(
-            trace, cfg.law, gamma_c=cfg.envelope.gamma_c, T0=cfg.envelope.T0,
-            T1=cfg.envelope.T1, window=window,
-        )
-        rep_l = compare_to_envelope(trace, lower)
-        print(f"lower_margin_min={rep_l.envelope_margins[0]:.12g}")
-        print(f"lower_margin_max={rep_l.envelope_margins[1]:.12g}")
-        print(f"lower_pass={rep_l.passed}")
-        if not rep_l.passed:
-            code = FAIL
-    else:
-        print("lower_envelope=skipped (law fails growth screening)")
-    return code
+    return FAIL if failed else PASS
 
 
 def _cmd_compare_ode(args) -> int:
@@ -278,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True)
     p.add_argument("--mode", choices=("power", "loglog", "stretched", "exp"), default="power")
     p.add_argument("--stretch-p", type=float, default=3.0)
-    p.add_argument("--window-frac", default="0.6667,1.0")
+    p.add_argument("--window-frac", default=None,
+                   help="LO,HI fractions of the log-time span (default 2/3,1)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fit)
 
@@ -287,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt = csub.add_parser("trace")
     pt.add_argument("--trace", required=True)
     pt.add_argument("--config", required=True)
-    pt.add_argument("--window-frac", default="0.6667,1.0")
     pt.set_defaults(func=_cmd_compare_trace)
     po = csub.add_parser("ode")
     po.add_argument("--config", required=True)
@@ -314,7 +308,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERR
-    except (SimError, TransformError, HarnessError, ComparisonError) as exc:
+    except (SimError, TransformError, HarnessError, ComparisonError, LawError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL
 

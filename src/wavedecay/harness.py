@@ -49,6 +49,7 @@ UPPER_MARGIN_SLACK = 1.0 + 1e-9
 LOWER_MARGIN_SLACK = 1.0 - 1e-9
 GENERAL_ENVELOPE_POINTS = 256  # the general envelope is costly per point
 UPPER_CORRECTION_PASSES = 8  # verification passes of the upper calibration
+LOWER_UNSCREENED = "skipped: rough data or law fails screening"
 UNDOMINATED = (
     "upper-envelope calibration failed: trace cannot be dominated "
     "with the envelope domain starting inside the window"
@@ -444,6 +445,10 @@ def calibrate_upper(
     uses.  The result is verified with envelope_value at every sample; where
     the numerical inverses leave a sample above the envelope, M is raised by
     that sample's shortfall, for at most UPPER_CORRECTION_PASSES passes.
+    The returned envelope carries the first sample's time in
+    extras["t_calibration"] and the (min, max) of the final verification's
+    ratios E/envelope in extras["margins"]: the margins compare_to_envelope
+    reports from t_calibration on, without evaluating the envelope again.
 
     M is capped so the envelope's domain still starts at the window's left
     edge.  A trace that needs a larger M, or has a sample above everything
@@ -475,8 +480,10 @@ def calibrate_upper(
             if not M <= m_cap:
                 raise HarnessError(UNDOMINATED)
             env.M = M
-            shortfall = max(ev / envelope_value(env, tv) for tv, ev in samples)
+            ratios = [ev / envelope_value(env, tv) for tv, ev in samples]
+            shortfall = max(ratios)
             if shortfall <= 1.0:
+                env.extras["margins"] = (float(min(ratios)), float(shortfall))
                 return env
             # growing powers: the envelope can rise far slower than M, and a
             # bare shortfall of 1e-13 drowns in the inverses' tolerances
@@ -550,6 +557,52 @@ class ExperimentResult:
     trace_path: str = ""
     report_txt: str = ""
     report_kv: str = ""
+
+
+def envelope_summary(trace: EnergyTrace, cfg: ExperimentConfig, window) -> dict[str, object]:
+    """Report entries of the upper and lower envelopes calibrated on window.
+
+    The upper margins are the calibration's own verification ratios.  A
+    calibration that raises gives '<upper|lower>_envelope' = 'skipped: ...';
+    the lower envelope is skipped, as LOWER_UNSCREENED, for rough data (its
+    gamma_s needs smooth data) and for laws that fail hfl_screen.
+    """
+    law, ecfg = cfg.law, cfg.envelope
+    out: dict[str, object] = {}
+    try:
+        upper = calibrate_upper(
+            trace, law, kind=ecfg.kind, beta=ecfg.beta, kappa=ecfg.kappa, window=window
+        )
+        lo, hi = upper.extras["margins"]
+        out.update(
+            upper_kind=upper.kind,
+            upper_M=upper.M,
+            upper_margin_min=lo,
+            upper_margin_max=hi,
+            upper_pass=hi <= UPPER_MARGIN_SLACK,
+        )
+    except (TransformError, HarnessError) as exc:
+        out["upper_envelope"] = f"skipped: {exc}"
+
+    if not (cfg.sim.smooth and hfl_screen(law)):
+        out["lower_envelope"] = LOWER_UNSCREENED
+        return out
+    try:
+        lower = calibrate_lower(
+            trace, law, gamma_c=ecfg.gamma_c, T0=ecfg.T0, T1=ecfg.T1, window=window
+        )
+        cmp_l = compare_to_envelope(trace, lower)
+        out.update(
+            lower_T0=lower.T0,
+            lower_gamma_s=lower.gamma_s,
+            lower_C_s=lower.C_s,
+            lower_margin_min=cmp_l.envelope_margins[0],
+            lower_margin_max=cmp_l.envelope_margins[1],
+            lower_pass=cmp_l.passed,
+        )
+    except (TransformError, HarnessError) as exc:
+        out["lower_envelope"] = f"skipped: {exc}"
+    return out
 
 
 def _atomic_write(path: str, content: str) -> None:
@@ -666,49 +719,9 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> Experimen
             except HarnessError as exc:
                 summary["fit"] = f"failed: {exc}"
 
-            # upper envelope
-            try:
-                upper = calibrate_upper(
-                    trace,
-                    law,
-                    kind=cfg.envelope.kind,
-                    beta=cfg.envelope.beta,
-                    kappa=cfg.envelope.kappa,
-                    window=window,
-                )
-                cmp_u = compare_to_envelope(trace, upper, t_start=upper.extras["t_calibration"])
-                summary["upper_kind"] = upper.kind
-                summary["upper_M"] = upper.M
-                summary["upper_margin_min"] = cmp_u.envelope_margins[0]
-                summary["upper_margin_max"] = cmp_u.envelope_margins[1]
-                summary["upper_pass"] = cmp_u.passed
-                checks.append(bool(cmp_u.passed))
-            except (TransformError, HarnessError) as exc:
-                summary["upper_envelope"] = f"skipped: {exc}"
-
-            # lower envelope (needs smooth data for gamma_s and the screening)
-            if cfg.sim.smooth and hfl_screen(law):
-                try:
-                    lower = calibrate_lower(
-                        trace,
-                        law,
-                        gamma_c=cfg.envelope.gamma_c,
-                        T0=cfg.envelope.T0,
-                        T1=cfg.envelope.T1,
-                        window=window,
-                    )
-                    cmp_l = compare_to_envelope(trace, lower)
-                    summary["lower_T0"] = lower.T0
-                    summary["lower_gamma_s"] = lower.gamma_s
-                    summary["lower_C_s"] = lower.C_s
-                    summary["lower_margin_min"] = cmp_l.envelope_margins[0]
-                    summary["lower_margin_max"] = cmp_l.envelope_margins[1]
-                    summary["lower_pass"] = cmp_l.passed
-                    checks.append(bool(cmp_l.passed))
-                except (TransformError, HarnessError) as exc:
-                    summary["lower_envelope"] = f"skipped: {exc}"
-            else:
-                summary["lower_envelope"] = "skipped: rough data or law fails screening"
+            entries = envelope_summary(trace, cfg, window)
+            summary.update(entries)
+            checks += [bool(entries[k]) for k in ("upper_pass", "lower_pass") if k in entries]
 
     passed = all(checks) if checks else True
     summary["passed"] = passed

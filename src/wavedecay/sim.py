@@ -132,10 +132,6 @@ class WaveState:
     v_prev: np.ndarray
     v_curr: np.ndarray
 
-    @property
-    def x(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n + 2)
-
 
 def build_coefficients(spec: CoefficientField | None, n: int) -> np.ndarray:
     """Sample a coefficient field at the padded grid nodes (zeros when absent)."""

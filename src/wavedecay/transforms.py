@@ -257,9 +257,6 @@ class DecayEnvelope:
             return max(self.T1 + self.T0, self.T0 + 1.0 / _c0(self.law))
         return 0.0
 
-    def __call__(self, t: float) -> float:
-        return envelope_value(self, t)
-
 
 def envelope_general(env: DecayEnvelope, t: float) -> float:
     """2 beta L(1 / psi0^{-1}(t/M)) for t >= M / H'(r0^2)."""
@@ -318,16 +315,10 @@ def envelope_M(env: DecayEnvelope, t: float, E_value: float) -> float:
     raise TransformError(f"envelope_M needs an upper envelope kind, got {env.kind!r}")
 
 
-def optimal_weight(
-    law: FeedbackLaw, E_value: float, beta: float, polynomial: bool = False
-) -> float:
-    """Weight L^{-1}(E / 2 beta); in polynomial mode, E^{(p-1)/2} for power laws."""
+def optimal_weight(law: FeedbackLaw, E_value: float, beta: float) -> float:
+    """Weight L^{-1}(E / 2 beta)."""
     if E_value < 0.0:
         raise TransformError("energy must be nonnegative")
-    if polynomial:
-        if law.family != "power":
-            raise TransformError("polynomial weight mode requires the power family")
-        return E_value ** (0.5 * (law.p - 1.0))
     z = E_value / (2.0 * beta)
     if z >= law.r0**2:
         raise TransformError(

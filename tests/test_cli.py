@@ -32,11 +32,26 @@ name = cli1
 """
 
 
+# a fit window and a lower-envelope shift that differ from the defaults
+WINDOWED = "\n[fit]\nwindow = 0.3, 1.0\n\n[envelope]\nt1 = 50\n"
+
+
 @pytest.fixture()
 def cfg_path(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(CONFIG.format(out=tmp_path / "out"))
     return str(path)
+
+
+@pytest.fixture()
+def windowed_run(tmp_path, capsys):
+    """Config path, trace path and .report.kv lines of a full windowed run."""
+    path = tmp_path / "windowed.ini"
+    path.write_text(CONFIG.format(out=tmp_path / "wout") + WINDOWED)
+    main(["simulate", "--config", str(path), "--full"])
+    trace = capsys.readouterr().out.splitlines()[0].split()[-1]
+    kv = Path(trace.replace(".trace.csv", ".report.kv")).read_text().splitlines()
+    return str(path), trace, kv
 
 
 def test_simulate_writes_trace(cfg_path, tmp_path, capsys):
@@ -57,13 +72,17 @@ def test_simulate_full_pipeline(cfg_path, tmp_path, capsys):
 
 
 def test_fit_subcommand(cfg_path, tmp_path, capsys):
-    main(["simulate", "--config", cfg_path])
-    trace = capsys.readouterr().out.strip()
+    main(["simulate", "--config", cfg_path, "--full"])
+    trace = capsys.readouterr().out.splitlines()[0].split()[-1]
     report = tmp_path / "fit.kv"
     assert main(["fit", "--trace", trace, "--mode", "power", "--out", str(report)]) == 0
     out = capsys.readouterr().out
     assert "slope=" in out and "r_squared=" in out
     assert report.read_text() == out
+    # the default window is the run's default [fit] window
+    kv = Path(trace.replace(".trace.csv", ".report.kv")).read_text().splitlines()
+    run_lo = next(line for line in kv if line.startswith("fit_window_lo="))
+    assert run_lo.replace("fit_", "", 1) in out.splitlines()
 
 
 def test_compare_trace_subcommand(cfg_path, capsys):
@@ -73,6 +92,39 @@ def test_compare_trace_subcommand(cfg_path, capsys):
     out = capsys.readouterr().out
     assert "upper_pass=True" in out
     assert "lower_pass=True" in out
+
+
+def test_compare_trace_prints_the_run_report(windowed_run, capsys):
+    cfg, trace, kv = windowed_run
+    main(["compare", "trace", "--trace", trace, "--config", cfg])
+    printed = capsys.readouterr().out.splitlines()
+    assert printed and set(printed) <= set(kv)
+    assert [line for line in kv if line.startswith(("upper_", "lower_"))] == printed
+
+
+def test_calc_trace_honours_window_and_t1(windowed_run, capsys):
+    cfg, trace, _ = windowed_run
+    assert main(["calc", "--config", cfg, "--trace", trace, "--kind", "lower"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    ts = [float(line.split("\t")[0]) for line in lines[lines.index("t\tenvelope") + 1:]]
+    assert ts and min(ts) >= 50.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--trace", "{missing}"],
+    ["compare", "trace", "--trace", "{missing}", "--config", "{cfg}"],
+    ["calc", "--trace", "{missing}", "--config", "{cfg}"],
+])
+def test_unreadable_trace_exit_code(argv, cfg_path, tmp_path, capsys):
+    missing = str(tmp_path / "nope.trace.csv")
+    assert main([a.format(missing=missing, cfg=cfg_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read trace") and err.count("\n") == 1
+
+
+def test_law_error_exit_code(cfg_path, capsys):
+    assert main(["calc", "--config", cfg_path, "--calculus", "2.0"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_compare_ode_csv(cfg_path, capsys):

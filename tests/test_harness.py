@@ -218,6 +218,12 @@ def test_calibrate_upper_contract(law_name, kind):
     env = wd.calibrate_upper(tr, law, kind=kind)
     assert type(env.M) is float
     rep = wd.compare_to_envelope(tr, env, t_start=env.extras["t_calibration"])
+    if kind == "simplified":
+        assert env.extras["margins"] == rep.envelope_margins
+    else:
+        # a general envelope evaluated again reads the psi0 cache the earlier
+        # evaluations grew, so it can move at the inverses' 1e-12 tolerance
+        assert env.extras["margins"] == pytest.approx(rep.envelope_margins, rel=1e-12, abs=0)
     assert 1.0 - 1e-6 <= rep.envelope_margins[1] <= 1.0 + 1e-9
     assert env.M == pytest.approx(_reference_M(tr, law, kind), rel=1e-6)
 

@@ -212,7 +212,6 @@ def test_envelope_ratio_bounded(power3):
 def test_optimal_weight(power3):
     assert wd.optimal_weight(power3, 0.5, 1.0) == pytest.approx(1.0, abs=1e-9)
     assert wd.optimal_weight(power3, 0.0, 1.0) == 0.0
-    assert wd.optimal_weight(power3, 0.25, 1.0, polynomial=True) == pytest.approx(0.25)
     with pytest.raises(TransformError):
         wd.optimal_weight(power3, 3.0, 1.0)
 
