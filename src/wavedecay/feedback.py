@@ -60,9 +60,10 @@ class FeedbackLaw:
     s_sat: float
     g_sat: float
 
-    @property
-    def code(self) -> int:
-        return FAMILY_CODES[self.family]
+    def __post_init__(self):
+        # the kernels' family code: a plain attribute, not a field, so asdict(law)
+        # and every config digest stay as they were
+        object.__setattr__(self, "code", FAMILY_CODES[self.family])
 
     def __repr__(self) -> str:  # compact, used in reports
         bits = [self.family]
@@ -187,7 +188,7 @@ def eval_g(law: FeedbackLaw, x: float) -> float:
     """g(x) on [0, r0]."""
     if x < 0.0 or x > law.r0:
         raise LawError(f"g domain is [0, {law.r0}], got {x}")
-    return _g(x, FAMILY_CODES[law.family], law.p, law.q) if x > 0.0 else 0.0
+    return _g(x, law.code, law.p, law.q) if x > 0.0 else 0.0
 
 
 def eval_H(law: FeedbackLaw, x: float) -> float:
@@ -198,8 +199,7 @@ def eval_H(law: FeedbackLaw, x: float) -> float:
     if x <= 0.0:
         return 0.0
     s = math.sqrt(x)
-    # FAMILY_CODES, not the `code` property: a property call adds a fifth to eval_H
-    return s * _g(s, FAMILY_CODES[law.family], law.p, law.q)
+    return s * _g(s, law.code, law.p, law.q)
 
 
 def eval_H_prime(law: FeedbackLaw, x: float) -> float:
@@ -309,7 +309,7 @@ def convexity_check(law: FeedbackLaw, samples: int = 10_000) -> ConvexityReport:
 
 def ghat(law: FeedbackLaw, s: float) -> float:
     """Odd, nondecreasing extension of g: equal to g below s_sat, linear beyond."""
-    return _ghat(s, FAMILY_CODES[law.family], law.p, law.q, law.s_sat, law.g_sat)
+    return _ghat(s, law.code, law.p, law.q, law.s_sat, law.g_sat)
 
 
 def rho_eval(law: FeedbackLaw, a_value: float, s: float) -> float:

@@ -45,6 +45,7 @@ class HarnessError(ValueError):
 
 
 MONOTONE_STEP_TOL = 1e-11  # relative to E(0), per sampled step
+INTEGRAL_STARTS = 50  # start points S of the weighted integral inequality
 UPPER_MARGIN_SLACK = 1.0 + 1e-9
 LOWER_MARGIN_SLACK = 1.0 - 1e-9
 GENERAL_ENVELOPE_POINTS = 256  # the general envelope is costly per point
@@ -54,6 +55,14 @@ UNDOMINATED = (
     "upper-envelope calibration failed: trace cannot be dominated "
     "with the envelope domain starting inside the window"
 )
+
+
+def _trace_arrays(trace) -> tuple[np.ndarray, np.ndarray]:
+    """(t, E) as float arrays, from an EnergyTrace or a (t, E) pair."""
+    if isinstance(trace, EnergyTrace):
+        trace = trace.t, trace.E
+    t, E = trace
+    return np.asarray(t, dtype=float), np.asarray(E, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +120,6 @@ def check_integral_inequality(
     M_bound: float | None = None,
     mode: str = "finite",
     horizon: float | None = None,
-    n_starts: int = 50,
 ) -> IntegralCheck:
     """Smallest M with int_S^T w(E) E dt <= M E(S) over a grid of 50 starts.
 
@@ -120,16 +128,13 @@ def check_integral_inequality(
     mode='power_tail' extends the integral beyond the final time using a
     power law fitted to the last decade.
     """
-    if isinstance(trace_or_function, EnergyTrace):
-        t = np.asarray(trace_or_function.t, dtype=float)
-        E = np.asarray(trace_or_function.E, dtype=float)
-    elif callable(trace_or_function):
+    if callable(trace_or_function):
         if horizon is None:
             raise HarnessError("a callable input needs an explicit horizon")
         t = _dense_grid(horizon)
         E = np.array([trace_or_function(float(x)) for x in t])
     else:
-        t, E = (np.asarray(a, dtype=float) for a in trace_or_function)
+        t, E = _trace_arrays(trace_or_function)
     if len(t) < 3:
         raise HarnessError("need at least 3 samples")
     e_scale = max(E[0], 1e-300)
@@ -146,7 +151,7 @@ def check_integral_inequality(
     elif mode != "finite":
         raise HarnessError(f"mode must be 'finite' or 'power_tail', got {mode!r}")
 
-    idx = np.unique(np.round(np.linspace(0, len(t) - 1, n_starts)).astype(int))
+    idx = np.unique(np.round(np.linspace(0, len(t) - 1, INTEGRAL_STARTS)).astype(int))
     ratios = []
     svals = []
     for i in idx:
@@ -317,12 +322,7 @@ def fit_tail_exponent(
     mode 'stretched': log E vs (log t)^(1/p)  (between polynomial and exponential)
     mode 'exp':       log E vs t              (exponential decay rate)
     """
-    if isinstance(trace, EnergyTrace):
-        t, E = trace.t, trace.E
-    else:
-        t, E = trace
-    t = np.asarray(t, dtype=float)
-    E = np.asarray(E, dtype=float)
+    t, E = _trace_arrays(trace)
     if window is None:
         window = default_fit_window(t)
     w0, w1 = window
@@ -366,29 +366,20 @@ def fit_tail_exponent(
 
 
 def compare_to_envelope(
-    trace,
-    envelope: DecayEnvelope,
-    t_start: float | None = None,
-    max_points: int | None = None,
+    trace, envelope: DecayEnvelope, t_start: float | None = None
 ) -> FitReport:
     """Margins min/max of E(t)/envelope(t) over the envelope's valid domain.
 
     Upper envelopes pass when the max margin stays at or below 1; the lower
     envelope passes when the min margin stays at or above 1 (tiny slack for
     the touch point itself).  The general envelope is costly per point, so
-    its margins are evaluated on a subsample unless max_points overrides.
+    its margins are evaluated on a subsample of GENERAL_ENVELOPE_POINTS.
     """
-    if isinstance(trace, EnergyTrace):
-        t, E = trace.t, trace.E
-    else:
-        t, E = trace
-    t = np.asarray(t, dtype=float)
-    E = np.asarray(E, dtype=float)
+    t, E = _trace_arrays(trace)
     lo = envelope.domain_start()
     if t_start is not None:
         lo = max(lo, t_start)
-    if max_points is None and envelope.kind == "general":
-        max_points = GENERAL_ENVELOPE_POINTS
+    max_points = GENERAL_ENVELOPE_POINTS if envelope.kind == "general" else None
     ts, es = _window_samples(t, E, lo * (1.0 - 1e-12), max_points)
     env = np.array([envelope_value(envelope, float(tv)) for tv in ts])
     ratios = es / env
@@ -508,8 +499,14 @@ def calibrate_lower(
 
     gamma_s comes from the initial first-order energy (4 sqrt(E1(0))); T0 is
     estimated as the first sample with E <= (r0^2/gamma_s)^2 (0 when the
-    trace never gets there); the remaining constant is fixed so the envelope
-    touches the windowed trace from below at its worst point.
+    trace never gets there).  The samples start at the latest of the window's
+    left edge, T0 + 1.000001 / H'(r0^2) and T0 + T1, so the envelope's domain
+    covers every one of them; the remaining constant is fixed so the envelope
+    touches those samples from below at its worst point.  The returned
+    envelope carries the first sample's time in extras["t_calibration"] and
+    the (min, max) of E/envelope over the samples in extras["margins"]: the
+    margins compare_to_envelope reports, bit for bit, without evaluating the
+    envelope again.
     """
     e1_0 = float(trace.meta.get("e1_0", "nan"))
     gamma_s = 4.0 * math.sqrt(e1_0) if math.isfinite(e1_0) and e1_0 > 0.0 else 1.0
@@ -522,25 +519,27 @@ def calibrate_lower(
     if window is None:
         window = default_fit_window(trace.t)
     c0 = _c0(law)
-    t_min = max(window[0], T0_v + 1.000001 / c0)
-    ts, es = _window_samples(trace.t, trace.E, t_min)
+    t_min = max(window[0], T0_v + 1.000001 / c0, T0_v + T1)
+    ts, es = (a.tolist() for a in _window_samples(trace.t, trace.E, t_min))
+    # each sample's (H')^{-1}(1/(t - T0)), as odecmp.lower_envelope forms it
+    xs = [hprime_inv(law, min(1.0 / (tv - T0_v), c0)) for tv in ts]
     if isinstance(gamma_c, (int, float)):
         gc = float(gamma_c)
     else:
         # largest constant keeping the envelope at or below every sample
-        gc = 0.0
-        for tv, ev in zip(ts.tolist(), es.tolist()):
-            x = hprime_inv(law, min(1.0 / (tv - T0_v), c0))
-            gc = max(gc, x / math.sqrt(ev))
+        gc = max(x / math.sqrt(ev) for x, ev in zip(xs, es))
     env = DecayEnvelope(
         kind="lower",
         law=law,
         gamma_s=gamma_s,
         C_s=gc / gamma_s,
         T0=T0_v,
-        T1=max(T1, float(ts[0]) - T0_v),
+        T1=max(T1, ts[0] - T0_v),
     )
-    env.extras["t_calibration"] = float(ts[0])
+    scale = env.gamma_s * env.C_s
+    ratios = [ev / (x / scale) ** 2 for x, ev in zip(xs, es)]
+    env.extras["t_calibration"] = ts[0]
+    env.extras["margins"] = (min(ratios), max(ratios))
     return env
 
 
@@ -562,8 +561,9 @@ class ExperimentResult:
 def envelope_summary(trace: EnergyTrace, cfg: ExperimentConfig, window) -> dict[str, object]:
     """Report entries of the upper and lower envelopes calibrated on window.
 
-    The upper margins are the calibration's own verification ratios.  A
-    calibration that raises gives '<upper|lower>_envelope' = 'skipped: ...';
+    Both envelopes' margins are their calibrations' own extras["margins"],
+    so no envelope is evaluated a second time.  A calibration that raises
+    gives '<upper|lower>_envelope' = 'skipped: ...';
     the lower envelope is skipped, as LOWER_UNSCREENED, for rough data (its
     gamma_s needs smooth data) and for laws that fail hfl_screen.
     """
@@ -591,14 +591,14 @@ def envelope_summary(trace: EnergyTrace, cfg: ExperimentConfig, window) -> dict[
         lower = calibrate_lower(
             trace, law, gamma_c=ecfg.gamma_c, T0=ecfg.T0, T1=ecfg.T1, window=window
         )
-        cmp_l = compare_to_envelope(trace, lower)
+        lo, hi = lower.extras["margins"]
         out.update(
             lower_T0=lower.T0,
             lower_gamma_s=lower.gamma_s,
             lower_C_s=lower.C_s,
-            lower_margin_min=cmp_l.envelope_margins[0],
-            lower_margin_max=cmp_l.envelope_margins[1],
-            lower_pass=cmp_l.passed,
+            lower_margin_min=lo,
+            lower_margin_max=hi,
+            lower_pass=lo >= LOWER_MARGIN_SLACK,
         )
     except (TransformError, HarnessError) as exc:
         out["lower_envelope"] = f"skipped: {exc}"

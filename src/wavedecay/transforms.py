@@ -333,19 +333,13 @@ def beta_floor(law: FeedbackLaw, e0: float) -> float:
     return e0 / (2.0 * eval_L(law, _c0(law)))
 
 
-def weight_psi_r(
-    w: Callable[[float], float],
-    r: float,
-    value: float,
-    mode: str,
-    w_inv: Callable[[float], float] | None = None,
-) -> float:
+def weight_psi_r(w: Callable[[float], float], r: float, value: float, mode: str) -> float:
     """K_r / psi_r machinery for a strictly increasing weight w on [0, eta).
 
     mode 'K':    K_r(tau) = int_tau^r dy / (y w(y)),  tau in (0, r]
     mode 'psi':  psi_r(z) = z + K_r(w^{-1}(1/z)),      z >= 1 / w(r)
 
-    w^{-1} is found by bisection on [0, r] unless supplied.
+    w^{-1} is found by bisection on [0, r].
     """
     if r <= 0.0:
         raise TransformError("r must be positive")
@@ -364,9 +358,6 @@ def weight_psi_r(
         if z <= z_min:
             return z_min
         target = 1.0 / z
-        if w_inv is not None:
-            tau = w_inv(target)
-        else:
-            tau = bisect_root(lambda y: w(y) - target, 0.0, r, xtol=1e-13)
+        tau = bisect_root(lambda y: w(y) - target, 0.0, r, xtol=1e-13)
         return z + weight_psi_r(w, r, tau, "K")
     raise TransformError(f"mode must be 'K' or 'psi', got {mode!r}")

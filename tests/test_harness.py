@@ -255,14 +255,23 @@ def test_calibrate_upper_errors(power3, exp_inv, linear_law, kind):
         wd.calibrate_upper(fast, exp_inv, kind=kind)
 
 
-def test_calibrate_lower_stays_below(power3):
-    tr = _synthetic_trace(power3, -1.5)
-    env = wd.calibrate_lower(tr, power3)
-    rep = wd.compare_to_envelope(tr, env)
-    lo, hi = rep.envelope_margins
-    assert rep.passed
-    assert lo == pytest.approx(1.0, rel=1e-6)
-    assert env.gamma_s == pytest.approx(4.0 * math.sqrt(10.0))
+def test_calibrate_lower_stays_below():
+    # the contract: the envelope touches the samples its domain covers from
+    # below, also when T1 lies beyond the window start, and the calibration's
+    # own margins are compare_to_envelope's
+    for law_name, (params, a_law) in sorted(CALIBRATION_LAWS.items()):
+        law = wd.make_feedback(**params)
+        assert wd.hfl_screen(law)
+        for a in (a_law, 1.5, 2.0):
+            tr = _decay_trace(lambda t: 2.0 * (1.0 + t) ** -a)
+            for T1 in (0.0, 500.0):
+                case = (law_name, a, T1)
+                env = wd.calibrate_lower(tr, law, T1=T1)
+                rep = wd.compare_to_envelope(tr, env)
+                assert env.extras["margins"] == rep.envelope_margins, case
+                assert abs(rep.envelope_margins[0] - 1.0) <= 1e-6, case
+                assert rep.passed, case
+                assert env.gamma_s == pytest.approx(4.0 * math.sqrt(10.0))
 
 
 def test_compare_empty_overlap(power3):
