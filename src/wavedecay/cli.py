@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands:
-  calc       feedback calculus table and envelope values (tab-separated)
+  calc       feedback calculus table and envelope values (tab-separated) of the
+             envelope calibrated on --trace, else of the unit one (beta = M = 1)
   simulate   config -> trace CSV (optionally the full experiment pipeline)
   fit        trace CSV -> tail-exponent report
   compare    'trace': trace vs calibrated envelope; 'ode': comparison-ODE CSV
@@ -58,7 +59,7 @@ def _parse_grid(text: str, default_lo: float, default_hi: float, default_n: int 
 def _load_trace(path: str) -> EnergyTrace:
     try:
         return EnergyTrace.from_csv(path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read trace {path}: {exc}") from exc
 
 
@@ -78,15 +79,12 @@ def _cmd_calc(args) -> int:
     if args.trace:
         trace = _load_trace(args.trace)
         window = default_fit_window(trace.t, cfg.fit.window)
-        ecfg = cfg.envelope
         if kind == "lower":
-            env = calibrate_lower(trace, law, gamma_c=ecfg.gamma_c, T0=ecfg.T0, T1=ecfg.T1, window=window)
+            env = calibrate_lower(trace, law, T1=cfg.envelope.T1, window=window)
         else:
-            env = calibrate_upper(trace, law, kind=kind, beta=ecfg.beta, kappa=ecfg.kappa, window=window)
+            env = calibrate_upper(trace, law, kind=kind, window=window)
     else:
-        beta = cfg.envelope.beta if isinstance(cfg.envelope.beta, float) else 1.0
-        M = cfg.envelope.M if isinstance(cfg.envelope.M, float) else 1.0
-        env = DecayEnvelope(kind=kind, law=law, beta=beta, M=M, kappa=cfg.envelope.kappa)
+        env = DecayEnvelope(kind=kind, law=law)  # the unit envelope: beta = M = 1
     lo = env.domain_start()
     ts = _parse_grid(args.grid, max(lo, 1e-6), max(lo, 1e-6) * 1e4)
     print("t\tenvelope")

@@ -7,14 +7,18 @@ Sections (all optional except [law]):
                   a_profile, a_support, a_floor, a_cap, alpha_max
   [grid]          n, cfl
   [time]          t_final, stride, dt
-  [initial]       u0, u1, v0, v1, smooth
-  [envelope]      kind (auto|general|simplified), beta, M, kappa,
-                  gamma_c, T0, T1   (numbers, or 'calibrate'/'auto')
+  [initial]       u0, u1, v0, v1 (profiles, see sim.parse_profile), smooth
+                  (a configparser boolean word)
+  [envelope]      kind (auto|general|simplified), T1 (the lower envelope's
+                  time shift)
   [fit]           mode (auto|power|loglog|stretched|exp), window (two
                   fractions of the log-time span)
   [output]        dir, name
 
-Unknown sections or keys are rejected so typos fail loudly.
+The envelopes' constants (beta, M, and the lower envelope's T0 and
+constant) have no keys: every run calibrates them from its trace.
+Unknown sections or keys, and values that do not parse, are rejected as
+ConfigError so typos fail loudly.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import io
 from dataclasses import asdict, dataclass, field
 
 from .feedback import CoefficientField, FeedbackLaw, LawError, make_feedback
-from .sim import DEFAULT_ALPHA_MAX, SimConfig, SimError
+from .sim import DEFAULT_ALPHA_MAX, SimConfig, SimError, parse_profile
 
 
 class ConfigError(ValueError):
@@ -48,7 +52,7 @@ _KNOWN = {
     "grid": {"n", "cfl"},
     "time": {"t_final", "stride", "dt"},
     "initial": {"u0", "u1", "v0", "v1", "smooth"},
-    "envelope": {"kind", "beta", "m", "kappa", "gamma_c", "t0", "t1"},
+    "envelope": {"kind", "t1"},
     "fit": {"mode", "window"},
     "output": {"dir", "name"},
 }
@@ -57,11 +61,6 @@ _KNOWN = {
 @dataclass
 class EnvelopeParams:
     kind: str = "auto"
-    beta: float | str = "calibrate"
-    M: float | str = "calibrate"
-    kappa: float = 1.0
-    gamma_c: float | str = "calibrate"
-    T0: float | str = "auto"
     T1: float = 0.0
 
 
@@ -91,34 +90,33 @@ class ExperimentConfig:
         return hashlib.sha256(physics.encode()).hexdigest()[:16]
 
 
+def _numbers(sec, key: str, default: str, count: int = 1) -> list[float]:
+    """The value of key (default when it is absent) as count numbers, with
+    commas or spaces between them; anything else is a ConfigError."""
+    text = sec.get(key, default)
+    try:
+        values = [float(part) for part in text.replace(",", " ").split()]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        what = "a number" if count == 1 else "two numbers"
+        raise ConfigError(f"[{sec.name}] {key} must be {what}, got {text!r}")
+    return values
+
+
 def _coeff_field(sec, prefix: str) -> CoefficientField | None:
     profile = sec.get(f"{prefix}_profile", "none").strip()
     if profile in ("none", ""):
         return None
-    support_txt = sec.get(f"{prefix}_support", None)
-    if support_txt is None:
+    if f"{prefix}_support" not in sec:
         raise ConfigError(f"{prefix}_support required when {prefix}_profile is set")
-    parts = [p.strip() for p in support_txt.replace(",", " ").split()]
-    if len(parts) != 2:
-        raise ConfigError(f"{prefix}_support must be two numbers, got {support_txt!r}")
-    lo, hi = float(parts[0]), float(parts[1])
-    floor = float(sec.get(f"{prefix}_floor", "1.0"))
-    cap_txt = sec.get(f"{prefix}_cap", None)
-    cap = float(cap_txt) if cap_txt is not None else None
+    lo, hi = _numbers(sec, f"{prefix}_support", "", 2)
+    (floor,) = _numbers(sec, f"{prefix}_floor", "1.0")
+    cap = _numbers(sec, f"{prefix}_cap", "")[0] if f"{prefix}_cap" in sec else None
     try:
         return CoefficientField(profile=profile, support=(lo, hi), floor=floor, cap=cap)
     except LawError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _num_or(token: str, *allowed: str) -> float | str:
-    token = token.strip()
-    if token in allowed:
-        return token
-    try:
-        return float(token)
-    except ValueError as exc:
-        raise ConfigError(f"expected a number or one of {allowed}, got {token!r}") from exc
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -149,15 +147,15 @@ def parse_config_text(text: str) -> ExperimentConfig:
     except (LawError, ValueError) as exc:
         raise ConfigError(f"bad [law] section: {exc}") from exc
 
-    csec = cp["coefficients"] if "coefficients" in cp else {}
-    alpha_field = _coeff_field(csec, "alpha") if csec else None
-    a_field = _coeff_field(csec, "a") if csec else None
-    alpha_max = float(csec.get("alpha_max", str(DEFAULT_ALPHA_MAX))) if csec else DEFAULT_ALPHA_MAX
+    for section in _KNOWN:  # absent sections read as empty, so every key takes its default
+        if section not in cp:
+            cp.add_section(section)
+    csec = cp["coefficients"]
+    alpha_field = _coeff_field(csec, "alpha")
+    a_field = _coeff_field(csec, "a")
+    (alpha_max,) = _numbers(csec, "alpha_max", str(DEFAULT_ALPHA_MAX))
 
-    gsec = cp["grid"] if "grid" in cp else {}
-    tsec = cp["time"] if "time" in cp else {}
-    isec = cp["initial"] if "initial" in cp else {}
-
+    gsec, tsec, isec = cp["grid"], cp["time"], cp["initial"]
     try:
         sim = SimConfig(
             law=law,
@@ -172,44 +170,33 @@ def parse_config_text(text: str) -> ExperimentConfig:
             u1=isec.get("u1", "zero"),
             v0=isec.get("v0", "sine:2:0.5"),
             v1=isec.get("v1", "zero"),
-            smooth=str(isec.get("smooth", "true")).strip().lower() in ("1", "true", "yes"),
+            smooth=isec.getboolean("smooth", fallback=True),
             alpha_max=alpha_max,
         )
+        for profile in (sim.u0, sim.u1, sim.v0, sim.v1):
+            parse_profile(profile)  # a profile that does not parse fails here, not in the run
     except (ValueError, SimError) as exc:
         raise ConfigError(f"bad grid/time/initial settings: {exc}") from exc
 
-    esec = cp["envelope"] if "envelope" in cp else {}
-    env = EnvelopeParams()
-    if esec:
-        env.kind = esec.get("kind", "auto").strip()
-        if env.kind not in ("auto", "general", "simplified"):
-            raise ConfigError(f"envelope kind must be auto|general|simplified, got {env.kind!r}")
-        env.beta = _num_or(esec.get("beta", "calibrate"), "calibrate")
-        env.M = _num_or(esec.get("m", "calibrate"), "calibrate")
-        env.kappa = float(esec.get("kappa", "1.0"))
-        env.gamma_c = _num_or(esec.get("gamma_c", "calibrate"), "calibrate")
-        env.T0 = _num_or(esec.get("t0", "auto"), "auto")
-        env.T1 = float(esec.get("t1", "0.0"))
+    esec = cp["envelope"]
+    kind = esec.get("kind", "auto").strip()
+    if kind not in ("auto", "general", "simplified"):
+        raise ConfigError(f"envelope kind must be auto|general|simplified, got {kind!r}")
+    (T1,) = _numbers(esec, "t1", "0.0")
+    env = EnvelopeParams(kind=kind, T1=T1)
 
-    fsec = cp["fit"] if "fit" in cp else {}
-    fit = FitParams()
-    if fsec:
-        fit.mode = fsec.get("mode", "auto").strip()
-        if fit.mode not in ("auto", "power", "loglog", "stretched", "exp"):
-            raise ConfigError(f"unknown fit mode {fit.mode!r}")
-        wtxt = fsec.get("window", None)
-        if wtxt:
-            parts = [p.strip() for p in wtxt.replace(",", " ").split()]
-            if len(parts) != 2:
-                raise ConfigError("fit window must be two fractions")
-            a, b = float(parts[0]), float(parts[1])
-            if not (0.0 <= a < b <= 1.0):
-                raise ConfigError("fit window fractions must satisfy 0 <= a < b <= 1")
-            fit.window = (a, b)
+    fsec = cp["fit"]
+    fit = FitParams(mode=fsec.get("mode", "auto").strip())
+    if fit.mode not in ("auto", "power", "loglog", "stretched", "exp"):
+        raise ConfigError(f"unknown fit mode {fit.mode!r}")
+    if fsec.get("window"):
+        a, b = _numbers(fsec, "window", "", 2)
+        if not (0.0 <= a < b <= 1.0):
+            raise ConfigError("fit window fractions must satisfy 0 <= a < b <= 1")
+        fit.window = (a, b)
 
-    osec = cp["output"] if "output" in cp else {}
-    out_dir = osec.get("dir", "out") if osec else "out"
-    name = osec.get("name", "experiment") if osec else "experiment"
+    out_dir = cp["output"].get("dir", "out")
+    name = cp["output"].get("name", "experiment")
 
     return ExperimentConfig(law=law, sim=sim, envelope=env, fit=fit, out_dir=out_dir, name=name)
 

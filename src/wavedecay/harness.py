@@ -26,6 +26,7 @@ from .numutil import invert_increasing
 from .odecmp import hfl_screen
 from .sim import EnergyTrace, run
 from .transforms import (
+    _PSI0_CACHE,
     DecayEnvelope,
     TransformError,
     _away_from_linear,
@@ -421,21 +422,22 @@ def calibrate_upper(
     trace: EnergyTrace,
     law: FeedbackLaw,
     kind: str = "auto",
-    beta: float | str = "calibrate",
-    kappa: float = 1.0,
     window: tuple[float, float] | None = None,
 ) -> DecayEnvelope:
     """Smallest upper envelope dominating the trace on the fit window.
 
-    beta defaults to its smallest admissible value E(0)/(2 L(H'(r0^2))).
-    Both upper envelopes rise with M, so each windowed sample (t_i, E_i)
-    needs M >= envelope_M(t_i, E_i), the M at which the envelope passes
-    through it, and the calibrated M is the largest of these: the envelope
-    touches the trace at its worst sample.  The general kind calibrates on a
+    beta is its smallest admissible value E(0)/(2 L(H'(r0^2))) (beta_floor),
+    the beta of the report and of the integral check.  Both upper envelopes
+    rise with M, so each windowed sample (t_i, E_i) needs M >=
+    envelope_M(t_i, E_i), the M at which the envelope passes through it, and
+    the calibrated M is the largest of these: the envelope touches the trace
+    at its worst sample.  The general kind calibrates on a
     subsample of GENERAL_ENVELOPE_POINTS, the points compare_to_envelope
     uses.  The result is verified with envelope_value at every sample; where
     the numerical inverses leave a sample above the envelope, M is raised by
     that sample's shortfall, for at most UPPER_CORRECTION_PASSES passes.
+    The law's psi0 cache is emptied first, so the result does not depend on
+    which psi0 values earlier calls computed.
     The returned envelope carries the first sample's time in
     extras["t_calibration"] and the (min, max) of the final verification's
     ratios E/envelope in extras["margins"]: the margins compare_to_envelope
@@ -443,24 +445,24 @@ def calibrate_upper(
 
     M is capped so the envelope's domain still starts at the window's left
     edge.  A trace that needs a larger M, or has a sample above everything
-    the envelope reaches (say, for an explicit beta that is too small),
-    raises HarnessError.  A linear-like law raises ClassificationError.
+    the envelope reaches (E/(2 beta) beyond the range of L, as for a trace
+    that rises above 2 E(0)), raises HarnessError.  A linear-like law raises
+    ClassificationError.
     """
     if kind == "auto":
         kind = "simplified" if _away_from_linear(law) else "general"
     if kind not in ("general", "simplified"):
         raise HarnessError(f"upper envelope kind must be general or simplified, got {kind!r}")
     require_away_from_linear(law)
-    e0 = trace.e0
-    beta_v = beta if isinstance(beta, (int, float)) else beta_floor(law, e0)
+    _PSI0_CACHE.pop(law, None)
     if window is None:
         window = default_fit_window(trace.t)
     max_pts = GENERAL_ENVELOPE_POINTS if kind == "general" else None
     ts, es = _window_samples(trace.t, trace.E, window[0], max_points=max_pts)
     samples = list(zip(ts.tolist(), es.tolist()))
-    m_cap = samples[0][0] * _c0(law) / kappa
+    m_cap = samples[0][0] * _c0(law)
 
-    env = DecayEnvelope(kind=kind, law=law, beta=beta_v, M=m_cap, kappa=kappa)
+    env = DecayEnvelope(kind=kind, law=law, beta=beta_floor(law, trace.e0), M=m_cap)
     env.extras["t_calibration"] = samples[0][0]
     try:
         # in order of t, so each psi0 quadrature starts from the previous node
@@ -490,8 +492,6 @@ def calibrate_upper(
 def calibrate_lower(
     trace: EnergyTrace,
     law: FeedbackLaw,
-    gamma_c: float | str = "calibrate",
-    T0: float | str = "auto",
     T1: float = 0.0,
     window: tuple[float, float] | None = None,
 ) -> DecayEnvelope:
@@ -499,7 +499,8 @@ def calibrate_lower(
 
     gamma_s comes from the initial first-order energy (4 sqrt(E1(0))); T0 is
     estimated as the first sample with E <= (r0^2/gamma_s)^2 (0 when the
-    trace never gets there).  The samples start at the latest of the window's
+    trace never gets there).  T1, the config's [envelope] t1, is the one
+    constant a caller sets.  The samples start at the latest of the window's
     left edge, T0 + 1.000001 / H'(r0^2) and T0 + T1, so the envelope's domain
     covers every one of them; the remaining constant is fixed so the envelope
     touches those samples from below at its worst point.  The returned
@@ -510,31 +511,24 @@ def calibrate_lower(
     """
     e1_0 = float(trace.meta.get("e1_0", "nan"))
     gamma_s = 4.0 * math.sqrt(e1_0) if math.isfinite(e1_0) and e1_0 > 0.0 else 1.0
-    if T0 == "auto":
-        thresh = (law.r0**2 / gamma_s) ** 2
-        hit = np.nonzero(trace.E <= thresh)[0]
-        T0_v = float(trace.t[hit[0]]) if len(hit) else 0.0
-    else:
-        T0_v = float(T0)
+    hit = np.nonzero(trace.E <= (law.r0**2 / gamma_s) ** 2)[0]
+    T0 = float(trace.t[hit[0]]) if len(hit) else 0.0
     if window is None:
         window = default_fit_window(trace.t)
     c0 = _c0(law)
-    t_min = max(window[0], T0_v + 1.000001 / c0, T0_v + T1)
+    t_min = max(window[0], T0 + 1.000001 / c0, T0 + T1)
     ts, es = (a.tolist() for a in _window_samples(trace.t, trace.E, t_min))
     # each sample's (H')^{-1}(1/(t - T0)), as odecmp.lower_envelope forms it
-    xs = [hprime_inv(law, min(1.0 / (tv - T0_v), c0)) for tv in ts]
-    if isinstance(gamma_c, (int, float)):
-        gc = float(gamma_c)
-    else:
-        # largest constant keeping the envelope at or below every sample
-        gc = max(x / math.sqrt(ev) for x, ev in zip(xs, es))
+    xs = [hprime_inv(law, min(1.0 / (tv - T0), c0)) for tv in ts]
+    # largest constant keeping the envelope at or below every sample
+    gc = max(x / math.sqrt(ev) for x, ev in zip(xs, es))
     env = DecayEnvelope(
         kind="lower",
         law=law,
         gamma_s=gamma_s,
         C_s=gc / gamma_s,
-        T0=T0_v,
-        T1=max(T1, ts[0] - T0_v),
+        T0=T0,
+        T1=max(T1, ts[0] - T0),
     )
     scale = env.gamma_s * env.C_s
     ratios = [ev / (x / scale) ** 2 for x, ev in zip(xs, es)]
@@ -570,9 +564,7 @@ def envelope_summary(trace: EnergyTrace, cfg: ExperimentConfig, window) -> dict[
     law, ecfg = cfg.law, cfg.envelope
     out: dict[str, object] = {}
     try:
-        upper = calibrate_upper(
-            trace, law, kind=ecfg.kind, beta=ecfg.beta, kappa=ecfg.kappa, window=window
-        )
+        upper = calibrate_upper(trace, law, kind=ecfg.kind, window=window)
         lo, hi = upper.extras["margins"]
         out.update(
             upper_kind=upper.kind,
@@ -588,9 +580,7 @@ def envelope_summary(trace: EnergyTrace, cfg: ExperimentConfig, window) -> dict[
         out["lower_envelope"] = LOWER_UNSCREENED
         return out
     try:
-        lower = calibrate_lower(
-            trace, law, gamma_c=ecfg.gamma_c, T0=ecfg.T0, T1=ecfg.T1, window=window
-        )
+        lower = calibrate_lower(trace, law, T1=ecfg.T1, window=window)
         lo, hi = lower.extras["margins"]
         out.update(
             lower_T0=lower.T0,

@@ -65,14 +65,20 @@ def parse_profile(text: str):
         elif kind == "sine":
             if len(fields) != 3:
                 raise SimError(f"sine profile needs sine:K:AMP, got {atom!r}")
-            k, amp = int(fields[1]), float(fields[2])
+            try:
+                k, amp = int(fields[1]), float(fields[2])
+            except ValueError:
+                raise SimError(f"sine profile needs integer K, numeric AMP: {atom!r}") from None
             if k < 1:
                 raise SimError("sine mode index must be >= 1")
             parts.append(lambda x, k=k, amp=amp: amp * np.sin(k * math.pi * x))
         elif kind == "bump":
             if len(fields) != 4:
                 raise SimError(f"bump profile needs bump:L:R:AMP, got {atom!r}")
-            lo, hi, amp = float(fields[1]), float(fields[2]), float(fields[3])
+            try:
+                lo, hi, amp = float(fields[1]), float(fields[2]), float(fields[3])
+            except ValueError:
+                raise SimError(f"bump profile needs numeric L, R, AMP: {atom!r}") from None
             if not (0.0 < lo < hi < 1.0):
                 raise SimError("bump support must lie strictly inside (0,1) (zero boundary)")
 
@@ -338,10 +344,12 @@ class EnergyTrace:
 
     @classmethod
     def from_csv(cls, path) -> "EnergyTrace":
+        """Read the form csv_text writes; a data row that is not four numbers
+        raises ValueError naming its line."""
         meta = {}
         rows = []
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
@@ -353,7 +361,13 @@ class EnergyTrace:
                     continue
                 if line.startswith("t,"):
                     continue
-                rows.append([float(c) for c in line.split(",")])
+                try:
+                    row = [float(c) for c in line.split(",")]
+                except ValueError:
+                    row = []
+                if len(row) != 4:
+                    raise ValueError(f"line {lineno}: expected four numbers, got {line!r}")
+                rows.append(row)
         arr = np.array(rows) if rows else np.zeros((0, 4))
         return cls(t=arr[:, 0], E=arr[:, 1], E1=arr[:, 2], dissipation=arr[:, 3], meta=meta)
 

@@ -8,7 +8,7 @@ For a growth law with H strictly convex on [0, r0^2], define
 so L maps [0, inf) one-to-one onto [0, r0^2).  The upper decay envelopes are
 
     general:     t |-> 2 beta L(1 / psi0^{-1}(t / M)),      t >= M / H'(r0^2)
-    simplified:  t |-> 2 beta (H')^{-1}(kappa M / t),        laws away from linear
+    simplified:  t |-> 2 beta (H')^{-1}(M / t),              laws away from linear
 
 with
 
@@ -22,11 +22,11 @@ with M, so the M at which an envelope passes through a point (t, E) has a
 closed form (envelope_M):
 
     general:     M = t / psi0(1 / L^{-1}(E / 2 beta))
-    simplified:  M = t H'(E / 2 beta) / kappa
+    simplified:  M = t H'(E / 2 beta)
 
-beta, M, kappa and the lower-bound constants are calibration parameters
-carried by DecayEnvelope; the calibration helpers live in the harness module
-(the upper calibration takes the largest envelope_M over the samples).
+beta, M and the lower-bound constants are carried by DecayEnvelope and
+calibrated on a trace by the harness module: beta is its smallest admissible
+value (beta_floor) and M the largest envelope_M over the samples.
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ class DecayEnvelope:
     """A calibrated decay bound.
 
     kind 'general' or 'simplified' are upper bounds (2*beta scale, time scale
-    M, and for the simplified form the extra factor kappa).  kind 'lower' is
+    M; both 1 by default, the unit envelope).  kind 'lower' is
     the lower bound with constants gamma_s (4 sqrt of the initial first-order
     energy), C_s from the comparison argument, and time shifts T0, T1.
     """
@@ -241,7 +241,6 @@ class DecayEnvelope:
     law: FeedbackLaw | None = None
     beta: float = 1.0
     M: float = 1.0
-    kappa: float = 1.0
     T0: float = 0.0
     T1: float = 0.0
     gamma_s: float = 1.0
@@ -249,10 +248,8 @@ class DecayEnvelope:
     extras: dict = field(default_factory=dict)
 
     def domain_start(self) -> float:
-        if self.kind == "general":
+        if self.kind in ("general", "simplified"):
             return self.M / _c0(self.law)
-        if self.kind == "simplified":
-            return self.kappa * self.M / _c0(self.law)
         if self.kind == "lower":
             return max(self.T1 + self.T0, self.T0 + 1.0 / _c0(self.law))
         return 0.0
@@ -268,9 +265,9 @@ def envelope_general(env: DecayEnvelope, t: float) -> float:
 
 
 def envelope_simplified(env: DecayEnvelope, t: float) -> float:
-    """2 beta (H')^{-1}(kappa M / t); requires a law away from linear growth."""
+    """2 beta (H')^{-1}(M / t); requires a law away from linear growth."""
     require_away_from_linear(env.law)
-    arg = env.kappa * env.M / t
+    arg = env.M / t
     if t <= 0.0 or arg > _c0(env.law) * (1.0 + 1e-12):
         raise TransformError("t too small for the simplified envelope domain")
     return 2.0 * env.beta * hprime_inv(env.law, min(arg, _c0(env.law)))
@@ -292,7 +289,7 @@ def envelope_value(env: DecayEnvelope, t: float) -> float:
 def envelope_M(env: DecayEnvelope, t: float, E_value: float) -> float:
     """The time constant M at which an upper envelope passes through (t, E_value).
 
-    env supplies the kind, law, beta and kappa; its own M is ignored.  An
+    env supplies the kind, law and beta; its own M is ignored.  An
     envelope with those parameters lies on or above E_value at t exactly when
     its M is at least the returned value.  Raises TransformError when no M
     reaches E_value: E_value / (2 beta) above L(H'(r0^2)) (general) or above
@@ -311,7 +308,7 @@ def envelope_M(env: DecayEnvelope, t: float, E_value: float) -> float:
         require_away_from_linear(law)
         if z > law.r0**2:
             raise TransformError(f"E/(2 beta) = {z} lies above the simplified envelope's range")
-        return t * eval_H_prime(law, z) / env.kappa
+        return t * eval_H_prime(law, z)
     raise TransformError(f"envelope_M needs an upper envelope kind, got {env.kind!r}")
 
 

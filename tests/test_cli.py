@@ -126,10 +126,15 @@ def test_calc_trace_honours_window_and_t1(windowed_run, capsys):
     ["calc", "--trace", "{missing}", "--config", "{cfg}"],
 ])
 def test_unreadable_trace_exit_code(argv, cfg_path, tmp_path, capsys):
-    missing = str(tmp_path / "nope.trace.csv")
-    assert main([a.format(missing=missing, cfg=cfg_path) for a in argv]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: cannot read trace") and err.count("\n") == 1
+    # a missing file, a row of three fields and a cell that is not a number
+    short = tmp_path / "short.trace.csv"
+    short.write_text("t,E,E1,dissipation\n0,1,1,0\n1,0.5,0.5\n")
+    text = tmp_path / "text.trace.csv"
+    text.write_text("t,E,E1,dissipation\n0,1,1,0\n1,half,0.5,0\n")
+    for path in (tmp_path / "nope.trace.csv", short, text):
+        assert main([a.format(missing=path, cfg=cfg_path) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read trace") and err.count("\n") == 1
 
 
 def test_law_error_exit_code(cfg_path, capsys):

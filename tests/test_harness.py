@@ -8,7 +8,7 @@ import pytest
 
 import wavedecay as wd
 from wavedecay.harness import HarnessError, _atomic_write
-from wavedecay.transforms import ClassificationError
+from wavedecay.transforms import ClassificationError, TransformError
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +243,31 @@ def test_calibrate_upper_below_old_search_floor(exp_inv):
     assert 1.0 - 1e-6 <= rep.envelope_margins[1] <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("law_name", sorted(CALIBRATION_LAWS))
+def test_calibrate_upper_general_is_repeatable(law_name):
+    # a second calibration on the same trace and law starts from a cold psi0
+    # cache too, so it repeats the first bit for bit
+    params, a = CALIBRATION_LAWS[law_name]
+    law = wd.make_feedback(**params, eps_clip=1.5e-16)  # a law no other test warms
+    tr = _decay_trace(lambda t: 2.0 * (1.0 + t) ** -a)
+    first = wd.calibrate_upper(tr, law, kind="general")
+    again = wd.calibrate_upper(tr, law, kind="general")
+    assert (again.M, again.extras["margins"]) == (first.M, first.extras["margins"])
+
+
 @pytest.mark.parametrize("kind", ["simplified", "general"])
 def test_calibrate_upper_errors(power3, exp_inv, linear_law, kind):
+    # rising above 2 E(0), E / (2 beta) leaves the range of L and of H'^-1
+    rising = _decay_trace(lambda t: 2.0 * (1.0 + t) ** 0.5)
+    with pytest.raises(HarnessError) as info:
+        wd.calibrate_upper(rising, power3, kind=kind)
+    cause = info.value.__cause__
+    assert isinstance(cause, TransformError)
+    assert {
+        "simplified": "lies above the simplified envelope's range",
+        "general": "inverse_L domain is [0, 1.0)",
+    }[kind] in str(cause)
     tr = _decay_trace(lambda t: 2.0 * (1.0 + t) ** -0.5)
-    with pytest.raises(HarnessError):  # E / (2 beta) above the range of L and of H'^-1
-        wd.calibrate_upper(tr, power3, kind=kind, beta=0.1)
     with pytest.raises(ClassificationError):
         wd.calibrate_upper(tr, linear_law, kind=kind)
     fast = _decay_trace(lambda t: 2.0 * (1.0 + t) ** -2.0)
@@ -408,6 +428,25 @@ def test_config_validation_errors():
         wd.parse_config_text("[law]\nfamily = power\np = 3\n[grid]\nteeth = 9\n")
     with pytest.raises(wd.ConfigError):
         wd.parse_config_text("no sections at all")
+    # values that do not parse, and the envelope constants that have no key:
+    # every run calibrates them
+    law = "[law]\nfamily = power\np = 3\n"
+    for bad in (
+        "[coefficients]\na_profile = indicator\na_support = 0.2, 0.6\na_floor = x\n",
+        "[coefficients]\nalpha_profile = indicator\nalpha_support = 0.4, x\n",
+        "[coefficients]\nalpha_max = big\n",
+        "[envelope]\nt1 = x\n",
+        "[fit]\nwindow = a, b\n",
+        "[initial]\nu0 = sine:x:1.0\n",
+        "[initial]\nv1 = bump:0.2:x:1.0\n",
+        "[initial]\nsmooth = maybe\n",
+        *(f"[envelope]\n{key} = 1\n" for key in ("beta", "m", "kappa", "gamma_c", "t0")),
+    ):
+        with pytest.raises(wd.ConfigError):
+            wd.parse_config_text(law + bad)
+    # smooth takes configparser's boolean words
+    assert wd.parse_config_text(law + "[initial]\nsmooth = off\n").sim.smooth is False
+    assert wd.parse_config_text(law + "[initial]\nsmooth = on\n").sim.smooth is True
 
 
 def test_config_digest_covers_physics_only(tmp_path):

@@ -163,7 +163,7 @@ def test_envelope_general_asymptotic_slope(power3):
 
 
 def test_envelope_simplified_values(power3):
-    env = wd.DecayEnvelope(kind="simplified", law=power3, beta=1.0, M=1.0, kappa=1.0)
+    env = wd.DecayEnvelope(kind="simplified", law=power3, beta=1.0, M=1.0)
     assert wd.envelope_simplified(env, 10.0) == pytest.approx(0.1, abs=1e-12)
     assert wd.envelope_simplified(env, 1e9) < 1e-8
     with pytest.raises(TransformError):
@@ -180,7 +180,7 @@ def test_envelope_simplified_rejects_linear(linear_law):
 def test_envelope_simplified_power_closed_form(p):
     law = wd.make_feedback("power", p=p, r0=1.0)
     beta, km = 1.3, 2.7
-    env = wd.DecayEnvelope(kind="simplified", law=law, beta=beta, M=km, kappa=1.0)
+    env = wd.DecayEnvelope(kind="simplified", law=law, beta=beta, M=km)
     for t in np.geomspace(10.0, 1e4, 25):
         expected = 2.0 * beta * (2.0 * km / ((p + 1.0) * t)) ** (2.0 / (p - 1.0))
         assert wd.envelope_simplified(env, float(t)) == pytest.approx(expected, rel=1e-9)
