@@ -1,25 +1,24 @@
-"""Time-stepping kernels for the coupled wave system, and the damping law.
+"""The time step of the coupled wave system, and the damping law.
 
-The scalar functions `_g`, `_ghat` and `_ghat_prime` below are the
-package's one definition of the growth law g, its odd saturated extension
-ghat and their derivative.  `feedback` calls the undecorated Python source
-of `_g` and `_ghat`, so importing it compiles nothing and its g, H and g_sat
-never depend on numba (with numba installed, `_ghat`'s source still calls
-the compiled `_g`).
+The scalar functions `_g` and `_ghat` below are the package's one
+definition of the growth law g and its odd saturated extension ghat;
+`feedback` evaluates g, H and g_sat through them.
 
-Two interchangeable implementations of the same update:
-
-  * a numba @njit kernel, used when numba imports (numba is the package's
-    optional `jit` extra), and
-  * a vectorized pure-numpy fallback, used otherwise.
-
-Both paths implement identical arithmetic: the numpy step performs the jit
-source's floating-point operations in the same order, node solve included,
-so the two agree bit for bit wherever numpy's vectorized pow/exp/log round
-like the scalar libm calls (they can differ in the last bit; exp_inv_square's
-g' also divides by a**3 where the jit source has a*a*a).
-tests/test_sim.py::test_backend_equivalence checks this for every law
-family, against the undecorated jit source when numba is not installed.
+`advance` is the package's one time step: a vectorized numpy step.
+`_ghat_prime`, `_solve_node` and `_advance_scalar` are its scalar
+reference, one node at a time in plain Python.  The package never calls
+them: they are what tests/test_sim.py compares the step against, and the
+source a compiled step would translate.  The numpy step performs the
+reference's floating-point operations in the same order, node solve
+included.  The two agree bit for bit wherever numpy's pow/exp/log loops
+round like the scalar `**`, `math.exp` and `math.log`.  On a CPU with
+AVX-512, numpy dispatches those loops to AVX-512 code that can differ in
+the last bit, so cubic and sub_exponential runs can part at rounding
+level there; with numpy's dispatched CPU features switched off
+(`NPY_DISABLE_CPU_FEATURES`) they agree exactly on every case tested.
+test_backend_equivalence checks the step in process, and
+test_backend_equivalence_without_cpu_dispatch checks it in a fresh
+interpreter with every dispatched feature off.
 
 The update is a leapfrog step in which the velocity coupling and the
 damping act on the midpoint velocity (u_next - u_prev) / (2 dt).  That
@@ -44,20 +43,7 @@ import numpy as np
 
 _TINY = 1e-150  # below this the essential-singularity families are flushed to 0
 
-try:
-    from numba import njit
 
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # no-op decorator so the jit source stays importable
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
-
-@njit(cache=True)
 def _g(a, fam, p, q):
     """g(a) for a > 0; fam is the index of the family in `feedback.FAMILIES`."""
     if fam == 0:
@@ -73,7 +59,6 @@ def _g(a, fam, p, q):
     return math.exp(-math.log(1.0 / a) ** p)
 
 
-@njit(cache=True)
 def _ghat(s, fam, p, q, s_sat, g_sat):
     """Odd extension of g, continued linearly beyond s_sat."""
     if s == 0.0:
@@ -86,7 +71,6 @@ def _ghat(s, fam, p, q, s_sat, g_sat):
     return v if s > 0.0 else -v
 
 
-@njit(cache=True)
 def _ghat_prime(s, fam, p, q, s_sat, g_sat):
     a = -s if s < 0.0 else s
     if a >= s_sat:
@@ -107,7 +91,6 @@ def _ghat_prime(s, fam, p, q, s_sat, g_sat):
     return math.exp(-(ell**p)) * p * ell ** (p - 1.0) / a
 
 
-@njit(cache=True)
 def _solve_node(b, clin, k2, fam, p, q, s_sat, g_sat, tol, maxit):
     """Root of clin*s + k2*ghat(s) - b; returns nan on non-convergence.
 
@@ -144,8 +127,12 @@ def _solve_node(b, clin, k2, fam, p, q, s_sat, g_sat, tol, maxit):
     return math.nan
 
 
-@njit(cache=True)
-def _advance_numba(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, g_sat, tol, maxit):
+def _advance_scalar(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, g_sat, tol, maxit):
+    """The scalar reference of `advance`, one node at a time.
+
+    The package never calls it, nor `_solve_node` and `_ghat_prime`: the
+    tests compare `advance` against them (see the module docstring).
+    """
     n2 = uc.shape[0]
     inv_dx2 = 1.0 / (dx * dx)
     dt2 = dt * dt
@@ -181,7 +168,7 @@ def _advance_numba(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, 
 
 
 def ghat_np(s: np.ndarray, fam: int, p: float, q: float, s_sat: float, g_sat: float) -> np.ndarray:
-    """Vectorized odd extension of g (same branches as the scalar jit version)."""
+    """Vectorized odd extension of g (same branches as the scalar `_ghat`)."""
     s = np.asarray(s, dtype=float)
     a = np.abs(s)
     with np.errstate(all="ignore"):  # the branches np.where discards may overflow or be nan
@@ -236,7 +223,8 @@ def _g_prime_into(a, out, t1, t2, tb, fam, p, q):
         np.divide(-1.0, out, out)
         np.exp(out, out)
         np.multiply(out, 2.0, out)
-        np.power(a, 3.0, t1)  # the jit source has a*a*a; the module docstring notes it
+        np.multiply(a, a, t1)
+        np.multiply(t1, a, t1)
         np.divide(out, t1, out)
         np.less(a, _TINY, tb)
         np.copyto(out, 0.0, where=tb)
@@ -251,7 +239,7 @@ def _g_prime_into(a, out, t1, t2, tb, fam, p, q):
             np.subtract(t1, q, t1)
             np.multiply(out, t1, out)
         else:
-            # ell = 0 gives 0.0 here as in the guarded jit branch
+            # ell = 0 gives 0.0 here as in the reference's guarded branch
             np.power(t1, p, out)
             np.negative(out, out)
             np.exp(out, out)
@@ -338,8 +326,8 @@ def _solve_nodes(bm, clin, k2, act, work, fam, p, q, s_sat, g_sat, tol, maxit):
     return x, (int(np.argmax(act)) if np.count_nonzero(act) else -1)
 
 
-def _advance_numpy(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, g_sat, tol, maxit):
-    """Vectorized `_advance_numba`: same signature, same return, and the same
+def advance(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, g_sat, tol, maxit):
+    """Vectorized `_advance_scalar`: same signature, same return, and the same
     bits within the limits the module docstring states.
 
     u and v are stepped together as the rows of two (2, n + 2) buffers that
@@ -381,7 +369,7 @@ def _advance_numpy(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, 
 
     status = (0, -1, 0.0)
     # solved nodes may sit at 0, where 1/a and log(1/a) are infinite, and
-    # -1/(a*a) overflows to -inf for tiny a, where exp gives the jit's 0.0
+    # -1/(a*a) overflows to -inf for tiny a, where exp gives the reference's 0.0
     with np.errstate(all="ignore"):
         for _ in range(nsteps):
             (p_in, _, _), (c_in, c_left, c_right) = levels
@@ -423,15 +411,6 @@ def _advance_numpy(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, 
     return status
 
 
-if _HAVE_NUMBA:
-    ACTIVE_BACKEND = "numba"
-    advance = _advance_numba
-else:
-    ACTIVE_BACKEND = "numpy"
-    advance = _advance_numpy
-
-advance_numpy = _advance_numpy
-
-
 def active_backend() -> str:
-    return ACTIVE_BACKEND
+    """The name of the time step, as the trace's `backend=` line records it."""
+    return "numpy"

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, parse_fit_window
 from .feedback import LawError, eval_H, eval_H_prime, lambda_H, make_feedback
 from .harness import (
     LOWER_UNSCREENED,
@@ -47,10 +47,11 @@ PASS, FAIL, CONFIG_ERR = 0, 1, 2
 def _parse_grid(text: str, default_lo: float, default_hi: float, default_n: int = 50):
     if not text:
         return log_midpoints(default_lo, default_hi, default_n)
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"grid must be LO:HI:N, got {text!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, n = text.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError:
+        raise ConfigError(f"grid must be LO:HI:N, got {text!r}") from None
     if not (0.0 < lo < hi) or n < 2:
         raise ConfigError("grid needs 0 < LO < HI and N >= 2")
     return log_midpoints(lo, hi, n)
@@ -67,9 +68,12 @@ def _cmd_calc(args) -> int:
     cfg = load_config(args.config)
     law = cfg.law
     if args.calculus:
+        try:
+            xs = [float(tok) for tok in args.calculus.split(",")]
+        except ValueError:
+            raise ConfigError(f"--calculus must be numbers, got {args.calculus!r}") from None
         print("x\tH\tH_prime\tlambda")
-        for tok in args.calculus.split(","):
-            x = float(tok)
+        for x in xs:
             lam = lambda_H(law, x) if x > 0.0 else math.nan
             print(f"{x:.12g}\t{eval_H(law, x):.12g}\t{eval_H_prime(law, x):.12g}\t{lam:.12g}")
         if not args.grid and not args.trace:
@@ -113,11 +117,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    fracs = parse_fit_window(args.window_frac, "--window-frac") if args.window_frac else None
     trace = _load_trace(args.trace)
-    window = None
-    if args.window_frac:
-        fracs = tuple(float(x) for x in args.window_frac.split(","))
-        window = default_fit_window(trace.t, fracs)  # type: ignore[arg-type]
+    window = default_fit_window(trace.t, fracs) if fracs else None
     rep = fit_tail_exponent(trace, window=window, mode=args.mode, stretch_p=args.stretch_p)
     lines = [
         f"mode={rep.mode}",
@@ -225,11 +227,11 @@ def _sweep_one(path: str, out: str | None) -> tuple[str, bool, str]:
 
 
 def _cmd_sweep(args) -> int:
-    paths = sorted(
-        os.path.join(args.configs, f)
-        for f in os.listdir(args.configs)
-        if f.endswith(".ini")
-    )
+    try:
+        names = os.listdir(args.configs)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config directory {args.configs}: {exc}") from exc
+    paths = sorted(os.path.join(args.configs, f) for f in names if f.endswith(".ini"))
     if not paths:
         print(f"no .ini configs found in {args.configs}", file=sys.stderr)
         return CONFIG_ERR

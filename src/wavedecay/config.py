@@ -90,18 +90,30 @@ class ExperimentConfig:
         return hashlib.sha256(physics.encode()).hexdigest()[:16]
 
 
-def _numbers(sec, key: str, default: str, count: int = 1) -> list[float]:
-    """The value of key (default when it is absent) as count numbers, with
-    commas or spaces between them; anything else is a ConfigError."""
-    text = sec.get(key, default)
+def _parse_numbers(text: str, count: int, name: str) -> list[float]:
+    """text as count numbers, with commas or spaces between them; anything
+    else is a ConfigError naming the setting."""
     try:
         values = [float(part) for part in text.replace(",", " ").split()]
     except ValueError:
         values = []
     if len(values) != count:
         what = "a number" if count == 1 else "two numbers"
-        raise ConfigError(f"[{sec.name}] {key} must be {what}, got {text!r}")
+        raise ConfigError(f"{name} must be {what}, got {text!r}")
     return values
+
+
+def _numbers(sec, key: str, default: str, count: int = 1) -> list[float]:
+    """The value of key (default when it is absent) as count numbers."""
+    return _parse_numbers(sec.get(key, default), count, f"[{sec.name}] {key}")
+
+
+def parse_fit_window(text: str, name: str = "[fit] window") -> tuple[float, float]:
+    """A fit window: two fractions a, b of the log-time span, 0 <= a < b <= 1."""
+    a, b = _parse_numbers(text, 2, name)
+    if not (0.0 <= a < b <= 1.0):
+        raise ConfigError(f"{name} fractions must satisfy 0 <= a < b <= 1, got {text!r}")
+    return a, b
 
 
 def _coeff_field(sec, prefix: str) -> CoefficientField | None:
@@ -190,10 +202,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if fit.mode not in ("auto", "power", "loglog", "stretched", "exp"):
         raise ConfigError(f"unknown fit mode {fit.mode!r}")
     if fsec.get("window"):
-        a, b = _numbers(fsec, "window", "", 2)
-        if not (0.0 <= a < b <= 1.0):
-            raise ConfigError("fit window fractions must satisfy 0 <= a < b <= 1")
-        fit.window = (a, b)
+        fit.window = parse_fit_window(fsec["window"])
 
     out_dir = cp["output"].get("dir", "out")
     name = cp["output"].get("name", "experiment")

@@ -12,10 +12,10 @@ its derivative H', and the classification ratio
 
 whose behaviour as x -> 0+ separates laws that are close to linear
 (Lambda -> 1) from the rest.  g and its odd extension ghat are the
-simulation kernel's scalar functions (`_kernels._g`, `_kernels._ghat`),
-called as plain Python.  H' and Lambda use per-family closed forms; the
-quotient definition of Lambda is algebraically simplified per family so it
-stays finite where H itself underflows.
+simulation kernel's scalar functions (`_kernels._g`, `_kernels._ghat`).
+H' and Lambda use per-family closed forms; the quotient definition of
+Lambda is algebraically simplified per family so it stays finite where H
+itself underflows.
 """
 
 from __future__ import annotations
@@ -25,16 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from ._kernels import _g, _ghat
 
 FAMILIES = ("linear", "power", "exp_inv_square", "power_log", "sub_exponential")
 
 # Integer codes shared with the simulation kernels.
 FAMILY_CODES = {name: i for i, name in enumerate(FAMILIES)}
-
-# the undecorated jit source; see the `_kernels` docstring for what numba still reaches
-_g = getattr(_kernels._g, "py_func", _kernels._g)
-_ghat = getattr(_kernels._ghat, "py_func", _kernels._ghat)
 
 
 class LawError(ValueError):

@@ -4,28 +4,6 @@ import pytest
 import wavedecay as wd
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernel():
-    """Run one short simulation before any test, so timed tests leave out
-    one-time costs: jit compilation when numba is installed.  The numpy
-    fallback has no compile step."""
-    law = wd.make_feedback("power", p=3.0, r0=1.0)
-    cfg = wd.SimConfig(
-        law=law,
-        alpha_field=wd.CoefficientField("indicator", (0.4, 0.9), 0.2),
-        a_field=wd.CoefficientField("indicator", (0.2, 0.6), 1.0),
-        n=31,
-        cfl=0.9,
-        t_final=0.2,
-        stride=10,
-        u0="sine:1:1.0",
-        u1="zero",
-        v0="zero",
-        v1="zero",
-    )
-    wd.run(cfg)
-
-
 @pytest.fixture(scope="session")
 def power3():
     return wd.make_feedback("power", p=3.0, r0=1.0)
@@ -46,11 +24,10 @@ def exp_inv():
     return wd.make_feedback("exp_inv_square")
 
 
-@pytest.fixture(scope="session")
-def damped_cfg(power3):
+def damped_config():
     """Small damped+coupled configuration shared by solver tests."""
     return wd.SimConfig(
-        law=power3,
+        law=wd.make_feedback("power", p=3.0, r0=1.0),
         alpha_field=wd.CoefficientField("indicator", (0.4, 0.9), 0.2),
         a_field=wd.CoefficientField("indicator", (0.2, 0.6), 1.0),
         n=99,
@@ -62,6 +39,11 @@ def damped_cfg(power3):
         v0="sine:2:0.5",
         v1="zero",
     )
+
+
+@pytest.fixture(scope="session")
+def damped_cfg():
+    return damped_config()
 
 
 def lagrange3(ts, es, tstar):

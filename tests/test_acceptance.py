@@ -1,10 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Timed criteria time whichever kernel backend is active
-(`wd.active_backend()`).  The session fixture in conftest.py runs a short
-simulation first, which compiles the jit kernel when numba is installed; the
-numpy fallback has no compile step.
+lines.  Timed criteria time the package's time step, which
+`wd.active_backend()` names.
 """
 
 import math

@@ -137,6 +137,25 @@ def test_unreadable_trace_exit_code(argv, cfg_path, tmp_path, capsys):
         assert err.startswith("config error: cannot read trace") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["calc", "--config", "{cfg}", "--grid", "a:b:3"],
+    ["calc", "--config", "{cfg}", "--calculus", "abc"],
+    ["compare", "ode", "--config", "{cfg}", "--grid", "1:2:x"],
+    ["fit", "--trace", "{trace}", "--window-frac", "a,b"],
+    ["fit", "--trace", "{trace}", "--window-frac", "0.5"],
+    ["sweep", "--configs", "{missing}"],
+])
+def test_unparsable_argument_exit_code(argv, cfg_path, tmp_path, capsys):
+    # every other input is valid: the trace is readable, the config parses
+    trace = tmp_path / "ok.trace.csv"
+    trace.write_text("t,E,E1,dissipation\n" + "".join(
+        f"{t},{1 / (1 + t)},{1 / (1 + t)},0\n" for t in range(0, 100, 5)))
+    args = [a.format(cfg=cfg_path, trace=trace, missing=tmp_path / "nope") for a in argv]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 def test_law_error_exit_code(cfg_path, capsys):
     assert main(["calc", "--config", cfg_path, "--calculus", "2.0"]) == 1
     assert capsys.readouterr().err.startswith("error: ")

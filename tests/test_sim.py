@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -197,7 +201,7 @@ def test_dissipation_matches_energy_slope(power3):
 
 
 # ---------------------------------------------------------------------------
-# traces, backends, CSV
+# traces, the step against its reference, CSV
 
 
 def test_early_stop_on_floor():
@@ -226,42 +230,104 @@ def _same_state(st1, st2):
                for name in ("u_prev", "u_curr", "v_prev", "v_curr"))
 
 
-def test_backend_equivalence(damped_cfg):
-    """The numpy kernel against the jit kernel, or its undecorated source
-    when numba is not installed: every law family, the saturation branch
-    and a smooth damping field, bit for bit.  The kernels run the same
-    operations in the same order; bit-for-bit agreement also needs numpy's
-    vectorized pow/exp/log to round like the scalar libm calls on these
-    runs (see the _kernels docstring)."""
-    smooth = dataclasses.replace(
-        damped_cfg,
+def _smooth_fields(cfg):
+    return dataclasses.replace(
+        cfg,
         alpha_field=wd.CoefficientField("smooth_bump", (0.4, 0.9), 0.2),
         a_field=wd.CoefficientField("smooth_bump", (0.2, 0.6), 1.0),
     )
+
+
+def _equivalence_cases(base):
+    """test_backend_equivalence's cases: name -> (config, steps)."""
     cases = {
-        "power p=3": damped_cfg,
-        "power p=5": dataclasses.replace(damped_cfg, law=wd.make_feedback("power", p=5.0, r0=1.0)),
-        "linear": dataclasses.replace(damped_cfg, law=wd.make_feedback("linear")),
-        "exp_inv_square": dataclasses.replace(damped_cfg, law=wd.make_feedback("exp_inv_square")),
-        "power_log": dataclasses.replace(damped_cfg, law=wd.make_feedback("power_log", p=3.0, q=2.0)),
+        "power p=3": base,
+        "power p=5": dataclasses.replace(base, law=wd.make_feedback("power", p=5.0, r0=1.0)),
+        "linear": dataclasses.replace(base, law=wd.make_feedback("linear")),
+        "exp_inv_square": dataclasses.replace(base, law=wd.make_feedback("exp_inv_square")),
+        "power_log": dataclasses.replace(base, law=wd.make_feedback("power_log", p=3.0, q=2.0)),
         "sub_exponential": dataclasses.replace(
-            damped_cfg, law=wd.make_feedback("sub_exponential", p=2.5)),
-        "saturated": dataclasses.replace(damped_cfg, u1="sine:1:3.0"),  # |u_t| > s_sat = 1
-        "smooth_bump": smooth,
+            base, law=wd.make_feedback("sub_exponential", p=2.5)),
+        "saturated": dataclasses.replace(base, u1="sine:1:3.0"),  # |u_t| > s_sat = 1
+        "smooth_bump": _smooth_fields(base),
     }
-    for name, cfg in cases.items():
-        st1, rep1 = _run_kernel(_kernels._advance_numba, cfg, 300)
-        st2, rep2 = _run_kernel(_kernels.advance_numpy, cfg, 300)
+    return {name: (cfg, 300) for name, cfg in cases.items()}
+
+
+def _long_cases(base):
+    """n = 49, 600-step runs that part from the reference in the last bit
+    where numpy dispatches pow/exp/log to AVX-512 loops."""
+    small = dataclasses.replace(base, n=49)
+    sub_exp = dataclasses.replace(small, law=wd.make_feedback("sub_exponential", p=2.5))
+    cases = {
+        "sub_exponential n=49": sub_exp,
+        "sub_exponential smooth_bump n=49": _smooth_fields(sub_exp),
+        "power p=1.5 smooth_bump n=49": _smooth_fields(
+            dataclasses.replace(small, law=wd.make_feedback("power", p=1.5, r0=1.0))),
+    }
+    return {name: (cfg, 600) for name, cfg in cases.items()}
+
+
+def _assert_equivalent(cases):
+    for name, (cfg, nsteps) in cases.items():
+        st1, rep1 = _run_kernel(_kernels._advance_scalar, cfg, nsteps)
+        st2, rep2 = _run_kernel(_kernels.advance, cfg, nsteps)
         assert rep1 == rep2 == (0, -1, 0.0), name
         assert _same_state(st1, st2), name
 
 
+def test_backend_equivalence(damped_cfg):
+    """The numpy step against its scalar reference: every law family, the
+    saturation branch and a smooth damping field, bit for bit.  The two run
+    the same operations in the same order; bit-for-bit agreement also needs
+    numpy's pow/exp/log loops to round like the scalar calls on these runs
+    (see the _kernels docstring)."""
+    _assert_equivalent(_equivalence_cases(damped_cfg))
+
+
+EXACT_CPU_PROBE = textwrap.dedent(
+    """
+    import sys
+
+    sys.path[:0] = sys.argv[1:3]
+
+    import conftest
+    import test_sim
+    from numpy._core import _multiarray_umath as umath
+
+    on = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    assert not on, f"dispatched CPU features still on: {on}"
+    base = conftest.damped_config()
+    test_sim._assert_equivalent({**test_sim._equivalence_cases(base),
+                                 **test_sim._long_cases(base)})
+    print("ok")
+    """
+)
+
+
+def test_backend_equivalence_without_cpu_dispatch():
+    """The equivalence cases, plus n = 49 runs that part in process on an
+    AVX-512 CPU, in a fresh interpreter with every CPU feature numpy
+    dispatches to switched off: there numpy's loops round like the scalar
+    calls on any CPU, so the step must equal its reference exactly."""
+    from numpy._core import _multiarray_umath as umath
+
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(umath.__cpu_dispatch__)}
+    out = subprocess.run(
+        [sys.executable, "-c", EXACT_CPU_PROBE, os.path.join(os.path.dirname(tests), "src"), tests],
+        capture_output=True, text=True, timeout=600, env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "ok"
+
+
 def test_backend_failure_report(damped_cfg):
     """A node solve cut off after one iteration fails at the same node in
-    both kernels, with the same residual scale b, leaving the state at the
-    last completed step."""
-    st1, rep1 = _run_kernel(_kernels._advance_numba, damped_cfg, 50, maxit=1)
-    st2, rep2 = _run_kernel(_kernels.advance_numpy, damped_cfg, 50, maxit=1)
+    the step and its reference, with the same residual scale b, leaving the
+    state at the last completed step."""
+    st1, rep1 = _run_kernel(_kernels._advance_scalar, damped_cfg, 50, maxit=1)
+    st2, rep2 = _run_kernel(_kernels.advance, damped_cfg, 50, maxit=1)
     assert rep1[0] == rep2[0] == 1
     assert rep1[1] == rep2[1] == 21  # padded index of the first node that fails
     assert float(rep1[2]) == rep2[2]
