@@ -4,21 +4,39 @@ The scalar functions `_g` and `_ghat` below are the package's one
 definition of the growth law g and its odd saturated extension ghat;
 `feedback` evaluates g, H and g_sat through them.
 
-`advance` is the package's one time step: a vectorized numpy step.
-`_ghat_prime`, `_solve_node` and `_advance_scalar` are its scalar
-reference, one node at a time in plain Python.  The package never calls
-them: they are what tests/test_sim.py compares the step against, and the
-source a compiled step would translate.  The numpy step performs the
-reference's floating-point operations in the same order, node solve
-included.  The two agree bit for bit wherever numpy's pow/exp/log loops
-round like the scalar `**`, `math.exp` and `math.log`.  On a CPU with
-AVX-512, numpy dispatches those loops to AVX-512 code that can differ in
-the last bit, so cubic and sub_exponential runs can part at rounding
-level there; with numpy's dispatched CPU features switched off
-(`NPY_DISABLE_CPU_FEATURES`) they agree exactly on every case tested.
-test_backend_equivalence checks the step in process, and
-test_backend_equivalence_without_cpu_dispatch checks it in a fresh
-interpreter with every dispatched feature off.
+`advance` is the package's one time step.  `_ghat_prime`, `_solve_node` and
+`_advance_scalar` are its scalar reference, one node at a time in plain
+Python; the package never calls them.
+
+Which step runs.  The first call of `advance` (or of `active_backend`),
+never the import, builds `_step.c`, a C translation of the scalar reference
+with the same floating-point operations in the same order, with the system
+`cc` and loads it through ctypes; `advance` then runs it.  Only when there
+is no `cc` on PATH, or the build or the load fails, does one `logging`
+warning give the reason and `advance` run `_advance_numpy`, a vectorized
+numpy form of the same reference.  `active_backend()` names the step that
+runs, "c" or "numpy"; nothing else selects it.
+
+The library is cached per user in `$XDG_CACHE_HOME/wavedecay` (default
+`~/.cache/wavedecay`, created with mode 0700), under a name keyed by a hash
+of the C source, the compiler flags and `cc --version`, so a new source or
+compiler builds a new file.  Deleting that directory clears the cache.  When
+it cannot be written, the library is built in a temporary directory that is
+removed as soon as it is loaded.
+
+Bits.  The C step equals the scalar reference bit for bit: Python's `**`,
+`math.exp` and `math.log` call the same C library functions, and the build
+uses -ffp-contract=off (no fused multiply-add) and no -ffast-math.  Its
+outputs therefore follow the C library's pow/exp/log.  The numpy step
+performs the same operations in the same order, but numpy may dispatch its
+pow/exp/log loops to CPU-specific (e.g. AVX-512) code that rounds
+differently in the last bit, so on such a CPU cubic and sub_exponential
+runs of the two steps part at rounding level; with numpy's dispatched CPU
+features switched off (`NPY_DISABLE_CPU_FEATURES`) the numpy step equals
+the reference exactly on every case tested.  test_backend_equivalence and
+test_backend_failure_report check both steps against the reference, and
+test_backend_equivalence_without_cpu_dispatch checks the numpy step in a
+fresh interpreter with every dispatched feature off.
 
 The update is a leapfrog step in which the velocity coupling and the
 damping act on the midpoint velocity (u_next - u_prev) / (2 dt).  That
@@ -37,7 +55,10 @@ State arrays are padded: length n + 2 with fixed zeros at both ends.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -130,8 +151,9 @@ def _solve_node(b, clin, k2, fam, p, q, s_sat, g_sat, tol, maxit):
 def _advance_scalar(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, g_sat, tol, maxit):
     """The scalar reference of `advance`, one node at a time.
 
-    The package never calls it, nor `_solve_node` and `_ghat_prime`: the
-    tests compare `advance` against them (see the module docstring).
+    The package never calls it, nor `_solve_node` and `_ghat_prime`: they
+    are the source `_step.c` translates, and the tests compare both steps
+    against them (see the module docstring).
     """
     n2 = uc.shape[0]
     inv_dx2 = 1.0 / (dx * dx)
@@ -326,9 +348,10 @@ def _solve_nodes(bm, clin, k2, act, work, fam, p, q, s_sat, g_sat, tol, maxit):
     return x, (int(np.argmax(act)) if np.count_nonzero(act) else -1)
 
 
-def advance(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, g_sat, tol, maxit):
+def _advance_numpy(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, g_sat, tol, maxit):
     """Vectorized `_advance_scalar`: same signature, same return, and the same
-    bits within the limits the module docstring states.
+    bits within the limits the module docstring states.  `advance` runs it
+    only where the C step cannot be built or loaded.
 
     u and v are stepped together as the rows of two (2, n + 2) buffers that
     swap roles each step; the caller's arrays are written back at the end.
@@ -411,6 +434,144 @@ def advance(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, g_sat, 
     return status
 
 
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_step.c")
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_BUILD_TIMEOUT = 120.0  # seconds allowed to each compiler call
+
+_lock = threading.Lock()
+_chosen = None  # (backend name, step function), set by the first `_choose`
+
+
+class _BuildError(RuntimeError):
+    """The C step could not be built."""
+
+
+def advance(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, g_sat, tol, maxit):
+    """Advance the state (up, uc, vp, vc) by nsteps, in place.
+
+    Returns (0, -1, 0.0), or (1, node, b) when the node solve fails at
+    padded index `node` with right-hand side b; the state then stays at
+    the last completed step.  Runs the C step, or the numpy step where
+    that cannot be built; the module docstring says how each matches
+    `_advance_scalar`, which has the same signature.
+    """
+    step = (_chosen or _choose())[1]
+    return step(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, g_sat, tol, maxit)
+
+
 def active_backend() -> str:
-    """The name of the time step, as the trace's `backend=` line records it."""
-    return "numpy"
+    """The name of the step `advance` runs, "c" or "numpy", as the trace's
+    `backend=` line records it.  The first call may build the C step."""
+    return (_chosen or _choose())[0]
+
+
+def _choose():
+    """Build and load the C step once per process; fall back to numpy."""
+    global _chosen
+    with _lock:
+        if _chosen is None:
+            import subprocess
+
+            try:
+                _chosen = ("c", _c_step(_load_library()))
+            except (OSError, AttributeError, subprocess.SubprocessError, _BuildError) as exc:
+                import logging
+
+                logging.getLogger(__name__).warning(
+                    "wavedecay: the compiled time step is unavailable (%s); "
+                    "running the numpy step", exc)
+                _chosen = ("numpy", _advance_numpy)
+    return _chosen
+
+
+def _cache_dir() -> str:
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # the XDG spec ignores relative paths
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "wavedecay")
+
+
+def _private_dir(path: str) -> bool:
+    """Create path with mode 0700 if needed; True if only this user can write it."""
+    try:
+        os.makedirs(path, mode=0o700, exist_ok=True)
+        st = os.stat(path)
+    except OSError:
+        return False
+    return (st.st_uid == os.getuid() and not st.st_mode & 0o022
+            and os.access(path, os.W_OK | os.X_OK))
+
+
+def _load_library():
+    """Find the compiled step in the cache, or build it; return the loaded library."""
+    import hashlib
+    import shutil
+    import subprocess
+    import tempfile
+
+    cc = shutil.which("cc")
+    if cc is None:
+        raise _BuildError("no C compiler: cc is not on PATH")
+    with open(_SOURCE, "rb") as fh:
+        source = fh.read()
+    version = subprocess.run([cc, "--version"], capture_output=True, check=True,
+                             timeout=_BUILD_TIMEOUT).stdout
+    key = hashlib.sha256(b"\0".join((source, " ".join(_CFLAGS).encode(), version)))
+    name = f"step-{key.hexdigest()[:24]}.so"
+
+    def build(directory):
+        """Compile into a temp file in directory, then rename it to its name."""
+        fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=directory)
+        os.close(fd)
+        try:
+            res = subprocess.run([cc, *_CFLAGS, "-o", tmp, "-x", "c", "-", "-lm"], input=source,
+                                 capture_output=True, timeout=_BUILD_TIMEOUT)
+            if res.returncode != 0:
+                err = res.stderr.decode(errors="replace").strip()
+                raise _BuildError(f"{cc} exited with status {res.returncode}: {err[-500:]}")
+            os.replace(tmp, os.path.join(directory, name))
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+
+    cache = _cache_dir()
+    if _private_dir(cache):
+        path = os.path.join(cache, name)
+        try:
+            if not os.path.exists(path):
+                build(cache)
+            return ctypes.CDLL(path)
+        except OSError:  # the cache cannot be written after all: build as below
+            pass
+    with tempfile.TemporaryDirectory(prefix="wavedecay-") as tmp_dir:
+        build(tmp_dir)
+        return ctypes.CDLL(os.path.join(tmp_dir, name))  # stays mapped once the file is gone
+
+
+def _c_step(lib):
+    """`advance` through the library's wavedecay_advance."""
+    fn = lib.wavedecay_advance
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    fn.restype = ctypes.c_int
+    fn.argtypes = (ptr, ptr, ptr, ptr, ptr, ptr, i64, f64, f64, i64, ctypes.c_int,
+                   f64, f64, f64, f64, f64, i64, ctypes.POINTER(i64), ctypes.POINTER(f64))
+    byref = ctypes.byref
+
+    def advance_c(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, g_sat, tol, maxit):
+        n2 = uc.shape[0]
+        ptrs = [_address(a, n2) for a in (up, uc, vp, vc, alpha, aa)]
+        node, b = i64(), f64()
+        status = fn(*ptrs, n2, dt, dx, nsteps, fam, p, q, s_sat, g_sat, tol, maxit, byref(node), byref(b))
+        if status < 0:
+            raise MemoryError("the compiled time step could not allocate its scratch arrays")
+        return (1, node.value, b.value) if status else (0, -1, 0.0)
+
+    return advance_c
+
+
+def _address(a, n2):
+    """Data address of a float64 array of shape (n2,); from_buffer raises
+    TypeError unless it is writeable and contiguous."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == (n2,)):
+        raise TypeError("the compiled time step needs float64 arrays of equal length")
+    return ctypes.addressof(ctypes.c_char.from_buffer(a))

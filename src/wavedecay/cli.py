@@ -36,7 +36,7 @@ from .harness import (
     lemma_suite,
     run_experiment,
 )
-from .numutil import log_midpoints
+from .numutil import QuadratureError, log_midpoints
 from .odecmp import ComparisonError, K_inverse, solve_comparison
 from .sim import EnergyTrace, SimConfig, SimError, run
 from .transforms import DecayEnvelope, TransformError, envelope_value, eval_L
@@ -117,6 +117,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    if not (math.isfinite(args.stretch_p) and args.stretch_p > 0.0):
+        raise ConfigError(f"--stretch-p must be finite and positive, got {args.stretch_p!r}")
     fracs = parse_fit_window(args.window_frac, "--window-frac") if args.window_frac else None
     trace = _load_trace(args.trace)
     window = default_fit_window(trace.t, fracs) if fracs else None
@@ -308,7 +310,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERR
-    except (SimError, TransformError, HarnessError, ComparisonError, LawError) as exc:
+    except (SimError, TransformError, HarnessError, ComparisonError, LawError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL
 

@@ -144,6 +144,10 @@ def test_unreadable_trace_exit_code(argv, cfg_path, tmp_path, capsys):
     ["fit", "--trace", "{trace}", "--window-frac", "a,b"],
     ["fit", "--trace", "{trace}", "--window-frac", "0.5"],
     ["sweep", "--configs", "{missing}"],
+    ["fit", "--trace", "{trace}", "--mode", "stretched", "--stretch-p", "0"],
+    ["fit", "--trace", "{trace}", "--mode", "stretched", "--stretch-p", "-1"],
+    ["fit", "--trace", "{trace}", "--mode", "stretched", "--stretch-p", "nan"],
+    ["fit", "--trace", "{trace}", "--mode", "stretched", "--stretch-p", "inf"],
 ])
 def test_unparsable_argument_exit_code(argv, cfg_path, tmp_path, capsys):
     # every other input is valid: the trace is readable, the config parses
@@ -159,6 +163,14 @@ def test_unparsable_argument_exit_code(argv, cfg_path, tmp_path, capsys):
 def test_law_error_exit_code(cfg_path, capsys):
     assert main(["calc", "--config", cfg_path, "--calculus", "2.0"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_quadrature_error_exit_code(capsys):
+    # the comparison ODE's quadrature gives up on this grid's far end
+    cfg = str(CONFIGS / "cubic_damping.ini")
+    assert main(["compare", "ode", "--config", cfg, "--grid", "1:1e30:3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: max depth") and err.count("\n") == 1
 
 
 def test_compare_ode_csv(cfg_path, capsys):

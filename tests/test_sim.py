@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -268,21 +269,35 @@ def _long_cases(base):
     return {name: (cfg, 600) for name, cfg in cases.items()}
 
 
-def _assert_equivalent(cases):
+def _assert_equivalent(cases, step):
     for name, (cfg, nsteps) in cases.items():
         st1, rep1 = _run_kernel(_kernels._advance_scalar, cfg, nsteps)
-        st2, rep2 = _run_kernel(_kernels.advance, cfg, nsteps)
+        st2, rep2 = _run_kernel(step, cfg, nsteps)
         assert rep1 == rep2 == (0, -1, 0.0), name
         assert _same_state(st1, st2), name
 
 
+def _compiled_step():
+    """`advance` where it runs the C step; None on a host with no C compiler.
+    Where `cc` is on PATH the C step must have built."""
+    if shutil.which("cc") is None:
+        return None
+    assert _kernels.active_backend() == "c", "cc is on PATH but the C step did not build"
+    return _kernels.advance
+
+
 def test_backend_equivalence(damped_cfg):
-    """The numpy step against its scalar reference: every law family, the
-    saturation branch and a smooth damping field, bit for bit.  The two run
-    the same operations in the same order; bit-for-bit agreement also needs
-    numpy's pow/exp/log loops to round like the scalar calls on these runs
-    (see the _kernels docstring)."""
-    _assert_equivalent(_equivalence_cases(damped_cfg))
+    """Both steps against their scalar reference: every law family, the
+    saturation branch and a smooth damping field, bit for bit.  The C step
+    also on the n = 49 runs where numpy's AVX-512 loops part from the
+    reference.  The numpy step runs the same operations in the same order;
+    its bit-for-bit agreement also needs numpy's pow/exp/log loops to round
+    like the scalar calls on these runs (see the _kernels docstring)."""
+    cases = _equivalence_cases(damped_cfg)
+    _assert_equivalent(cases, _kernels._advance_numpy)
+    compiled = _compiled_step()
+    if compiled is not None:
+        _assert_equivalent({**cases, **_long_cases(damped_cfg)}, compiled)
 
 
 EXACT_CPU_PROBE = textwrap.dedent(
@@ -299,17 +314,19 @@ EXACT_CPU_PROBE = textwrap.dedent(
     assert not on, f"dispatched CPU features still on: {on}"
     base = conftest.damped_config()
     test_sim._assert_equivalent({**test_sim._equivalence_cases(base),
-                                 **test_sim._long_cases(base)})
+                                 **test_sim._long_cases(base)},
+                                test_sim._kernels._advance_numpy)
     print("ok")
     """
 )
 
 
 def test_backend_equivalence_without_cpu_dispatch():
-    """The equivalence cases, plus n = 49 runs that part in process on an
-    AVX-512 CPU, in a fresh interpreter with every CPU feature numpy
-    dispatches to switched off: there numpy's loops round like the scalar
-    calls on any CPU, so the step must equal its reference exactly."""
+    """The numpy step on the equivalence cases, plus n = 49 runs that part
+    in process on an AVX-512 CPU, in a fresh interpreter with every CPU
+    feature numpy dispatches to switched off: there numpy's loops round
+    like the scalar calls on any CPU, so the step must equal its reference
+    exactly."""
     from numpy._core import _multiarray_umath as umath
 
     tests = os.path.dirname(os.path.abspath(__file__))
@@ -324,14 +341,82 @@ def test_backend_equivalence_without_cpu_dispatch():
 
 def test_backend_failure_report(damped_cfg):
     """A node solve cut off after one iteration fails at the same node in
-    the step and its reference, with the same residual scale b, leaving the
-    state at the last completed step."""
+    both steps and their reference, with the same residual scale b, leaving
+    the state at the last completed step."""
     st1, rep1 = _run_kernel(_kernels._advance_scalar, damped_cfg, 50, maxit=1)
-    st2, rep2 = _run_kernel(_kernels.advance, damped_cfg, 50, maxit=1)
-    assert rep1[0] == rep2[0] == 1
-    assert rep1[1] == rep2[1] == 21  # padded index of the first node that fails
-    assert float(rep1[2]) == rep2[2]
-    assert _same_state(st1, st2)
+    for step in filter(None, (_kernels._advance_numpy, _compiled_step())):
+        st2, rep2 = _run_kernel(step, damped_cfg, 50, maxit=1)
+        assert rep1[0] == rep2[0] == 1
+        assert rep1[1] == rep2[1] == 21  # padded index of the first node that fails
+        assert float(rep1[2]) == rep2[2]
+        assert _same_state(st1, st2)
+
+
+STEP_PROBE = textwrap.dedent(
+    """
+    import sys
+
+    sys.path[:0] = sys.argv[1:3]
+
+    import conftest
+    import test_sim
+    from wavedecay import _kernels
+
+    cfg = conftest.damped_config()
+    st1, rep1 = test_sim._run_kernel(_kernels.advance, cfg, 40)
+    st2, rep2 = test_sim._run_kernel(_kernels._advance_numpy, cfg, 40)
+    print(_kernels.active_backend(), rep1 == rep2 and test_sim._same_state(st1, st2))
+    """
+)
+
+
+def _step_probe(**env):
+    """A fresh interpreter that runs a short damped run with `advance` and
+    prints the step that ran and whether it matched the numpy step's state."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    return subprocess.Popen(
+        [sys.executable, "-c", STEP_PROBE, os.path.join(os.path.dirname(tests), "src"), tests],
+        env={**os.environ, **env}, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
+def _probe_result(probe):
+    out, err = probe.communicate(timeout=300)
+    assert probe.returncode == 0, err
+    return out.split(), err
+
+
+def test_numpy_step_runs_without_a_compiler(tmp_path):
+    """With no cc on PATH, a short damped run falls back to the numpy step,
+    with one warning that says why, gives that step's exact state and
+    writes nothing to the cache."""
+    empty_bin, cache = tmp_path / "bin", tmp_path / "cache"
+    empty_bin.mkdir()
+    cache.mkdir()
+    out, err = _probe_result(_step_probe(PATH=str(empty_bin), XDG_CACHE_HOME=str(cache)))
+    assert out == ["numpy", "True"]
+    warnings = [line for line in err.splitlines() if "compiled time step is unavailable" in line]
+    assert len(warnings) == 1 and "no C compiler" in warnings[0], err
+    assert not list(cache.iterdir())
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_compiled_step_cache(tmp_path):
+    """Two fresh interpreters that build into one empty cache at once both
+    run the C step and leave one library and no temp file.  Where the cache
+    cannot be created (its base is a file), the step is built in a temporary
+    directory that is gone once the library is loaded."""
+    cache, tmp, not_a_dir = tmp_path / "cache", tmp_path / "tmp", tmp_path / "file"
+    probes = [_step_probe(XDG_CACHE_HOME=str(cache)) for _ in range(2)]
+    for probe in probes:
+        assert _probe_result(probe)[0] == ["c", "True"]
+    assert [f.suffix for f in (cache / "wavedecay").iterdir()] == [".so"]
+
+    tmp.mkdir()
+    not_a_dir.write_text("")
+    probe = _step_probe(XDG_CACHE_HOME=str(not_a_dir), TMPDIR=str(tmp))
+    assert _probe_result(probe)[0] == ["c", "True"]
+    assert not list(tmp.iterdir())
 
 
 def test_trace_csv_roundtrip(tmp_path, power3, damped_cfg):
