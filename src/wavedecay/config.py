@@ -26,6 +26,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import asdict, dataclass, field
 
 from .feedback import CoefficientField, FeedbackLaw, LawError, make_feedback
@@ -91,14 +92,14 @@ class ExperimentConfig:
 
 
 def _parse_numbers(text: str, count: int, name: str) -> list[float]:
-    """text as count numbers, with commas or spaces between them; anything
-    else is a ConfigError naming the setting."""
+    """text as count finite numbers, with commas or spaces between them;
+    anything else (nan and inf included) is a ConfigError naming the setting."""
     try:
         values = [float(part) for part in text.replace(",", " ").split()]
     except ValueError:
         values = []
-    if len(values) != count:
-        what = "a number" if count == 1 else "two numbers"
+    if len(values) != count or not all(map(math.isfinite, values)):
+        what = "a finite number" if count == 1 else "two finite numbers"
         raise ConfigError(f"{name} must be {what}, got {text!r}")
     return values
 
@@ -168,15 +169,18 @@ def parse_config_text(text: str) -> ExperimentConfig:
     (alpha_max,) = _numbers(csec, "alpha_max", str(DEFAULT_ALPHA_MAX))
 
     gsec, tsec, isec = cp["grid"], cp["time"], cp["initial"]
+    (cfl,) = _numbers(gsec, "cfl", "0.9")
+    (t_final,) = _numbers(tsec, "t_final", "2000")
+    dt = _numbers(tsec, "dt", "")[0] if "dt" in tsec else None
     try:
         sim = SimConfig(
             law=law,
             alpha_field=alpha_field,
             a_field=a_field,
             n=int(gsec.get("n", "399")),
-            cfl=float(gsec.get("cfl", "0.9")),
-            dt=float(tsec["dt"]) if "dt" in tsec else None,
-            t_final=float(tsec.get("t_final", "2000")),
+            cfl=cfl,
+            dt=dt,
+            t_final=t_final,
             stride=int(tsec.get("stride", "200")),
             u0=isec.get("u0", "sine:1:1.0"),
             u1=isec.get("u1", "zero"),

@@ -140,6 +140,8 @@ def make_feedback(
         raise LawError(f"unknown family {family!r}; expected one of {FAMILIES}")
     pv = 0.0 if p is None else float(p)
     qv = 0.0 if q is None else float(q)
+    if not (math.isfinite(pv) and math.isfinite(qv)):
+        raise LawError(f"p and q must be finite, got p={pv!r}, q={qv!r}")
     if family == "power":
         if p is None or pv < 1.0:
             raise LawError("power family requires p >= 1")
@@ -170,7 +172,7 @@ def make_feedback(
                 f"{math.exp(-qv / pv):.6g} for g to be increasing"
             )
 
-    if eps_clip <= 0.0 or eps_clip >= r0v**2:
+    if not 0.0 < eps_clip < r0v**2:
         raise LawError("eps_clip must lie in (0, r0^2)")
 
     s_sat = min(1.0, r0v)

@@ -339,6 +339,8 @@ def fit_tail_exponent(
     elif mode == "loglog":
         x = np.log(np.log(ts))
     elif mode == "stretched":
+        if not 0.0 < stretch_p < math.inf:
+            raise HarnessError(f"stretch_p must be finite and positive, got {stretch_p!r}")
         x = np.log(ts) ** (1.0 / stretch_p)
     elif mode == "exp":
         x = ts

@@ -374,8 +374,8 @@ class EnergyTrace:
 
 def run(cfg: SimConfig, meta: dict | None = None) -> EnergyTrace:
     """Step to t_final, sampling every `stride` steps; early stop at the energy floor."""
-    if cfg.t_final <= 0.0:
-        raise SimError("t_final must be positive")
+    if not 0.0 < cfg.t_final < math.inf:
+        raise SimError("t_final must be finite and positive")
     if cfg.stride < 1:
         raise SimError("stride must be >= 1")
     state = init_state(cfg)

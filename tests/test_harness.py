@@ -119,6 +119,9 @@ def test_fit_stretched_mode():
     E = np.exp(-2.0 * np.log(t) ** (1.0 / 3.0))
     rep = wd.fit_tail_exponent((t, E), window=(10.0, 1e6), mode="stretched", stretch_p=3.0)
     assert rep.slope == pytest.approx(-2.0, abs=1e-6)
+    for stretch_p in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(HarnessError, match="stretch_p"):
+            wd.fit_tail_exponent((t, E), window=(10.0, 1e6), mode="stretched", stretch_p=stretch_p)
 
 
 def test_fit_needs_samples():
@@ -420,8 +423,11 @@ def test_run_experiment_undamped(tmp_path):
 
 
 def test_config_validation_errors():
+    for line in ("p = 0.5", "p = nan", "p = inf", "p = 3\nq = nan", "p = 3\neps_clip = nan"):
+        with pytest.raises(wd.ConfigError):
+            wd.parse_config_text(f"[law]\nfamily = power\n{line}\n")
     with pytest.raises(wd.ConfigError):
-        wd.parse_config_text("[law]\nfamily = power\np = 0.5\n")
+        wd.parse_config_text("[law]\nfamily = sub_exponential\np = nan\n")
     with pytest.raises(wd.ConfigError):
         wd.parse_config_text("[law]\nfamily = power\np = 3\n[nosuch]\nx = 1\n")
     with pytest.raises(wd.ConfigError):
@@ -440,6 +446,11 @@ def test_config_validation_errors():
         "[initial]\nu0 = sine:x:1.0\n",
         "[initial]\nv1 = bump:0.2:x:1.0\n",
         "[initial]\nsmooth = maybe\n",
+        # numbers that parse but are not finite
+        "[coefficients]\nalpha_profile = indicator\nalpha_support = 0.4, 0.9\nalpha_floor = nan\n",
+        "[coefficients]\na_profile = indicator\na_support = 0.2, 0.6\na_floor = inf\n",
+        "[time]\nt_final = inf\n",
+        "[time]\nt_final = nan\n",
         *(f"[envelope]\n{key} = 1\n" for key in ("beta", "m", "kappa", "gamma_c", "t0")),
     ):
         with pytest.raises(wd.ConfigError):
@@ -447,6 +458,11 @@ def test_config_validation_errors():
     # smooth takes configparser's boolean words
     assert wd.parse_config_text(law + "[initial]\nsmooth = off\n").sim.smooth is False
     assert wd.parse_config_text(law + "[initial]\nsmooth = on\n").sim.smooth is True
+    # a SimConfig built in Python meets the same t_final check in the run
+    sim = wd.parse_config_text(law).sim
+    for t_final in (math.inf, math.nan):
+        with pytest.raises(wd.SimError, match="t_final must be finite and positive"):
+            wd.run(dataclasses.replace(sim, t_final=t_final))
 
 
 def test_config_digest_covers_physics_only(tmp_path):
