@@ -2,7 +2,8 @@
 
 The scalar functions `_g` and `_ghat` below are the package's one
 definition of the growth law g and its odd saturated extension ghat;
-`feedback` evaluates g, H and g_sat through them.
+`feedback` evaluates g, H and g_sat through them, and `ghat_np` evaluates
+ghat on an array for `sim`'s start state and E1 and dissipation samples.
 
 `advance` is the package's one time step, with two implementations of one
 algorithm: `_step.c`, which runs, and its scalar reference in plain Python,
@@ -10,12 +11,12 @@ algorithm: `_step.c`, which runs, and its scalar reference in plain Python,
 `_step.c` translates the reference with the same floating-point operations
 in the same order.
 
-Which step runs.  The first call of `advance` (or of `active_backend`),
-never the import, builds `_step.c` with the system `cc` and loads it
-through ctypes; `advance` then runs it.  Only when there is no `cc` on
-PATH, or the build or the load fails, does one `logging` warning give the
-reason and `advance` run `_advance_scalar` itself, 40 to 320 times slower
-(README, Kernel backends).  `active_backend()` names the step that runs, "c" or
+Which step runs.  The first call of `advance`, `ghat_np` or
+`active_backend`, never the import, builds `_step.c` with the system `cc`
+and loads it through ctypes.  Only where there is no `cc` on PATH, or the
+build or the load fails, does one `logging` warning give the reason and
+the Python reference run instead, its step 40 to 320 times slower (README,
+Kernel backends).  `active_backend()` names the step that runs, "c" or
 "python"; nothing else selects it.
 
 The library is cached per user in `$XDG_CACHE_HOME/wavedecay` (default
@@ -25,15 +26,12 @@ compiler builds a new file.  Deleting that directory clears the cache.  When
 it cannot be written, the library is built in a temporary directory that is
 removed as soon as it is loaded.
 
-Bits.  The C step equals the scalar reference bit for bit: Python's `**`,
-`math.exp` and `math.log` call the same C library functions, and the build
-uses -ffp-contract=off (no fused multiply-add) and no -ffast-math.  So a
-host writes the same state bits with or without a compiler, and they
-follow its C library's pow/exp/log.  test_backend_equivalence and
-test_backend_failure_report check the C step against the reference.
-`ghat_np`, which the energy and dissipation samples use, is numpy's: on a
-CPU where numpy dispatches pow/exp/log to CPU-specific (e.g. AVX-512) loops
-it can differ from `_ghat` in the last bit.
+Bits.  The C step and law equal their scalar reference bit for bit:
+Python's `**`, `math.exp` and `math.log` call the same C library functions,
+and the build uses -ffp-contract=off (no fused multiply-add) and no
+-ffast-math.  So a host writes the same trace bits with or without a
+compiler, every column following its C library's pow/exp/log, as
+test_backend_equivalence and test_ghat_np_matches_reference check.
 
 The update is a leapfrog step in which the velocity coupling and the
 damping act on the midpoint velocity (u_next - u_prev) / (2 dt).  That
@@ -185,25 +183,12 @@ def _advance_scalar(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat,
 
 
 def ghat_np(s: np.ndarray, fam: int, p: float, q: float, s_sat: float, g_sat: float) -> np.ndarray:
-    """Vectorized odd extension of g (same branches and operations as the
-    scalar `_ghat`).  np.power, not `**`, whose scalar-power fast paths could
-    round differently.  exp_inv_square needs no `_TINY` guard: below it the
-    exponent is under -1e300 and exp gives the same 0.0."""
-    s = np.asarray(s, dtype=float)
-    a = np.abs(s)
-    with np.errstate(all="ignore"):  # the branches np.where discards may overflow or be nan
-        if fam == 0:
-            g = a
-        elif fam == 1:
-            g = np.power(a, p)
-        elif fam == 2:
-            g = np.exp(np.divide(-1.0, np.multiply(a, a)))
-        elif fam == 3:
-            g = np.multiply(np.power(a, p), np.power(np.log(np.divide(1.0, a)), q))
-        else:
-            g = np.exp(np.negative(np.power(np.log(np.divide(1.0, a)), p)))
-    out = np.where(a >= s_sat, g_sat / s_sat * a, np.where(a > 0.0, g, 0.0))
-    return np.sign(s) * out
+    """`_ghat` on each element of the 1-D float array s, in C or, without the C step, in Python."""
+    return (_chosen or _choose())[2](s, fam, p, q, s_sat, g_sat)
+
+
+def _ghat_scalar(s, fam, p, q, s_sat, g_sat):
+    return np.array([_ghat(x, fam, p, q, s_sat, g_sat) for x in s.tolist()])
 
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_step.c")
@@ -211,7 +196,7 @@ _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _BUILD_TIMEOUT = 120.0  # seconds allowed to each compiler call
 
 _lock = threading.Lock()
-_chosen = None  # (backend name, step function), set by the first `_choose`
+_chosen = None  # (backend name, step, ghat), set by the first `_choose`
 
 
 class _BuildError(RuntimeError):
@@ -238,21 +223,21 @@ def active_backend() -> str:
 
 
 def _choose():
-    """Build and load the C step once per process; fall back to the reference."""
+    """Build and load the C step and law once per process; fall back to the reference."""
     global _chosen
     with _lock:
         if _chosen is None:
             import subprocess
 
             try:
-                _chosen = ("c", _c_step(_load_library()))
+                _chosen = ("c", *_c_functions(_load_library()))
             except (OSError, AttributeError, subprocess.SubprocessError, _BuildError) as exc:
                 import logging
 
                 logging.getLogger(__name__).warning(
                     "wavedecay: the compiled time step is unavailable (%s); "
                     "running the much slower pure-Python reference step", exc)
-                _chosen = ("python", _advance_scalar)
+                _chosen = ("python", _advance_scalar, _ghat_scalar)
     return _chosen
 
 
@@ -320,13 +305,14 @@ def _load_library():
         return ctypes.CDLL(os.path.join(tmp_dir, name))  # stays mapped once the file is gone
 
 
-def _c_step(lib):
-    """`advance` through the library's wavedecay_advance."""
-    fn = lib.wavedecay_advance
+def _c_functions(lib):
+    """`advance` and `ghat_np` through the library's wavedecay_advance and wavedecay_ghat."""
+    fn, ghat_fn = lib.wavedecay_advance, lib.wavedecay_ghat
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    fn.restype = ctypes.c_int
+    fn.restype, ghat_fn.restype = ctypes.c_int, None
     fn.argtypes = (ptr, ptr, ptr, ptr, ptr, ptr, i64, f64, f64, i64, ctypes.c_int,
                    f64, f64, f64, f64, f64, i64, ctypes.POINTER(i64), ctypes.POINTER(f64))
+    ghat_fn.argtypes = (ptr, ptr, i64, ctypes.c_int, f64, f64, f64, f64)
     byref = ctypes.byref
 
     def advance_c(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, g_sat, tol, maxit):
@@ -338,7 +324,13 @@ def _c_step(lib):
             raise MemoryError("the compiled time step could not allocate its scratch arrays")
         return (1, node.value, b.value) if status else (0, -1, 0.0)
 
-    return advance_c
+    def ghat_c(s, fam, p, q, s_sat, g_sat):
+        s = np.ascontiguousarray(s, dtype=np.float64)
+        out = np.empty_like(s)
+        ghat_fn(s.ctypes.data, out.ctypes.data, s.size, fam, p, q, s_sat, g_sat)
+        return out
+
+    return advance_c, ghat_c
 
 
 def _address(a, n2):

@@ -1,10 +1,10 @@
-/* The compiled time step of wavedecay: a line-by-line C translation of the
- * scalar reference in _kernels.py (_g, _ghat, _ghat_prime, _solve_node and
- * _advance_scalar), with the same floating-point operations in the same
- * order.  _kernels builds it with -ffp-contract=off, so no multiply-add is
- * fused, and calls it through ctypes.  Python's `**`, math.exp and math.log
- * call the C library's pow, exp and log for the finite positive arguments
- * met here, so the step equals its reference bit for bit.
+/* The compiled time step and damping law of wavedecay: a line-by-line C
+ * translation of the scalar reference in _kernels.py (_g, _ghat, _ghat_prime,
+ * _solve_node and _advance_scalar), with the same floating-point operations
+ * in the same order.  _kernels builds it with -ffp-contract=off, so no
+ * multiply-add is fused, and calls it through ctypes.  Python's `**`,
+ * math.exp and math.log call the C library's pow, exp and log for the finite
+ * positive arguments met here, so both equal their reference bit for bit.
  */
 
 #include <math.h>
@@ -100,6 +100,14 @@ static double solve_node(double b, double clin, double k2, int fam, double p, do
         s = sn;
     }
     return NAN;
+}
+
+/* _ghat on each of the n values of s, into out. */
+void wavedecay_ghat(const double *s, double *out, int64_t n, int fam, double p, double q,
+                    double s_sat, double g_sat)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = ghat(s[i], fam, p, q, s_sat, g_sat);
 }
 
 /* _advance_scalar on arrays of length n2.  Returns 0 when every step is

@@ -157,7 +157,7 @@ def _cmd_compare_ode(args) -> int:
     cfg = load_config(args.config)
     law = cfg.law
     kappa = args.kappa if args.kappa is not None else (
-        cfg.sim.a_field.cap if cfg.sim.a_field is not None else 1.0
+        cfg.sim.a_field.floor if cfg.sim.a_field is not None else 1.0
     )
     z0 = args.z0 if args.z0 is not None else law.r0**2
     hi_default = 100.0

@@ -3,8 +3,8 @@
 Sections (all optional except [law]):
 
   [law]           family, p, q, r0, eps_clip
-  [coefficients]  alpha_profile, alpha_support, alpha_floor, alpha_cap,
-                  a_profile, a_support, a_floor, a_cap, alpha_max
+  [coefficients]  alpha_profile, alpha_support, alpha_floor, a_profile,
+                  a_support, a_floor, alpha_max
   [grid]          n, cfl
   [time]          t_final, stride, dt
   [initial]       u0, u1, v0, v1 (profiles, see sim.parse_profile), smooth
@@ -43,11 +43,9 @@ _KNOWN = {
         "alpha_profile",
         "alpha_support",
         "alpha_floor",
-        "alpha_cap",
         "a_profile",
         "a_support",
         "a_floor",
-        "a_cap",
         "alpha_max",
     },
     "grid": {"n", "cfl"},
@@ -73,7 +71,6 @@ class FitParams:
 
 @dataclass
 class ExperimentConfig:
-    law: FeedbackLaw
     sim: SimConfig
     envelope: EnvelopeParams = field(default_factory=EnvelopeParams)
     fit: FitParams = field(default_factory=FitParams)
@@ -81,11 +78,16 @@ class ExperimentConfig:
     name: str = "experiment"
 
     @property
+    def law(self) -> FeedbackLaw:
+        """The law of `sim`, the one every stage of a run uses."""
+        return self.sim.law
+
+    @property
     def digest(self) -> str:
         """Hash of the parsed physics, taken from the fields as they are now.
 
         Comments, formatting and [output] leave it, and so the config_digest
-        line of every output, alone; replacing `sim` or `law` moves it.
+        line of every output, alone; replacing `sim` moves it.
         """
         physics = repr([asdict(part) for part in (self.law, self.sim, self.envelope, self.fit)])
         return hashlib.sha256(physics.encode()).hexdigest()[:16]
@@ -125,9 +127,8 @@ def _coeff_field(sec, prefix: str) -> CoefficientField | None:
         raise ConfigError(f"{prefix}_support required when {prefix}_profile is set")
     lo, hi = _numbers(sec, f"{prefix}_support", "", 2)
     (floor,) = _numbers(sec, f"{prefix}_floor", "1.0")
-    cap = _numbers(sec, f"{prefix}_cap", "")[0] if f"{prefix}_cap" in sec else None
     try:
-        return CoefficientField(profile=profile, support=(lo, hi), floor=floor, cap=cap)
+        return CoefficientField(profile=profile, support=(lo, hi), floor=floor)
     except LawError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -211,7 +212,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     out_dir = cp["output"].get("dir", "out")
     name = cp["output"].get("name", "experiment")
 
-    return ExperimentConfig(law=law, sim=sim, envelope=env, fit=fit, out_dir=out_dir, name=name)
+    return ExperimentConfig(sim=sim, envelope=env, fit=fit, out_dir=out_dir, name=name)
 
 
 def load_config(path) -> ExperimentConfig:

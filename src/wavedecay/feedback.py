@@ -329,7 +329,6 @@ class CoefficientField:
     profile: str
     support: tuple[float, float]
     floor: float
-    cap: float | None = None
 
     def __post_init__(self):
         if self.profile not in ("indicator", "smooth_bump"):
@@ -339,10 +338,6 @@ class CoefficientField:
             raise LawError(f"support must be a nonempty subinterval of (0,1), got {self.support}")
         if self.floor <= 0.0:
             raise LawError("floor must be positive")
-        cap = self.floor if self.cap is None else self.cap
-        if cap < self.floor:
-            raise LawError(f"cap {cap} below floor {self.floor}")
-        object.__setattr__(self, "cap", cap)
 
     def sample(self, x: np.ndarray) -> np.ndarray:
         lo, hi = self.support

@@ -36,7 +36,6 @@ from .transforms import (
     envelope_value,
     hprime_inv,
     optimal_weight,
-    require_away_from_linear,
     weight_psi_r,
 )
 
@@ -455,7 +454,6 @@ def calibrate_upper(
         kind = "simplified" if _away_from_linear(law) else "general"
     if kind not in ("general", "simplified"):
         raise HarnessError(f"upper envelope kind must be general or simplified, got {kind!r}")
-    require_away_from_linear(law)
     _PSI0_CACHE.pop(law, None)
     if window is None:
         window = default_fit_window(trace.t)
@@ -673,16 +671,17 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> Experimen
         checks.append(mono_ok)
 
         if e0 > 0.0:
-            beta = beta_floor(law, e0)
-            summary["beta"] = beta
+            if _away_from_linear(law):
+                beta = summary["beta"] = beta_floor(law, e0)
+                key, weight = "M_optimal_weight", lambda y: optimal_weight(law, y, beta)
+            else:  # no optimal weight: the unit weight, the paper's route for linear damping
+                key, weight = "M_unit_weight", lambda y: np.ones_like(y)
             try:
-                chk = check_integral_inequality(
-                    trace, lambda y: optimal_weight(law, y, beta), mode="finite"
-                )
-                summary["M_optimal_weight"] = chk.M
+                chk = check_integral_inequality(trace, weight, mode="finite")
+                summary[key] = chk.M
                 checks.append(math.isfinite(chk.M))
             except (TransformError, HarnessError) as exc:
-                summary["M_optimal_weight"] = f"failed: {exc}"
+                summary[key] = f"failed: {exc}"
                 checks.append(False)
             if law.family == "power" and law.p > 1.0:
                 chk = check_integral_inequality(

@@ -326,7 +326,9 @@ def optimal_weight(law: FeedbackLaw, E_value: float, beta: float) -> float:
 
 
 def beta_floor(law: FeedbackLaw, e0: float) -> float:
-    """Smallest admissible beta for the optimal weight: E(0) / (2 L(H'(r0^2)))."""
+    """Smallest admissible beta for the optimal weight: E(0) / (2 L(H'(r0^2))).
+    A linear-like law, for which L(H'(r0^2)) = 0, raises ClassificationError."""
+    require_away_from_linear(law)
     return e0 / (2.0 * eval_L(law, _c0(law)))
 
 

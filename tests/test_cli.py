@@ -209,13 +209,7 @@ def test_sweep_parallel(cfg_path, tmp_path, capsys):
     assert out.count("[PASS]") == 2
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param(path.name, marks=pytest.mark.xfail(
-        strict=True, raises=ZeroDivisionError,
-        reason="ROADMAP item 4: beta_floor divides by L(H'(r0^2)) = 0 for the linear law"))
-    if path.name == "linear_damping.ini" else path.name
-    for path in sorted(CONFIGS.glob("*.ini"))
-])
+@pytest.mark.parametrize("name", [path.name for path in sorted(CONFIGS.glob("*.ini"))])
 def test_shipped_config_runs_end_to_end(name, tmp_path, capsys):
     cp = configparser.ConfigParser()
     cp.read(CONFIGS / name)

@@ -283,8 +283,6 @@ def test_smooth_bump_field():
 
 def test_field_validation():
     with pytest.raises(LawError):
-        wd.CoefficientField("indicator", (0.3, 0.7), 2.0, cap=1.0)
-    with pytest.raises(LawError):
         wd.CoefficientField("indicator", (0.7, 0.3), 1.0)
     with pytest.raises(LawError):
         wd.CoefficientField("indicator", (0.3, 0.7), -1.0)

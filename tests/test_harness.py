@@ -414,6 +414,21 @@ def test_atomic_write(tmp_path):
         assert os.listdir(tmp_path) == ["out.txt"]
 
 
+def test_run_experiment_linear(tmp_path):
+    """A linear-like law has no optimal weight: the run measures M with the
+    unit weight, skips both envelopes, and passes."""
+    text = P3_CONFIG.format(out=tmp_path).replace("family = power\np = 3.0\n", "family = linear\n")
+    cfg = wd.parse_config_text(text.replace("n = 99", "n = 49").replace("t_final = 60", "t_final = 300"))
+    res = wd.run_experiment(cfg, write_files=False)
+    s = res.summary
+    assert res.passed and s["passed"] and s["monotone_pass"]
+    assert "beta" not in s and "M_optimal_weight" not in s
+    assert 1.0 < s["M_unit_weight"] < 1e3
+    assert s["fit_mode"] == "exp" and s["fit_slope"] < 0.0 and s["fit_r2"] > 0.999
+    assert "linear-like" in s["upper_envelope"]
+    assert s["lower_envelope"] == wd.harness.LOWER_UNSCREENED
+
+
 def test_run_experiment_undamped(tmp_path):
     cfg = wd.parse_config_text(UNDAMPED_CONFIG.format(out=tmp_path))
     res = wd.run_experiment(cfg)
@@ -452,6 +467,7 @@ def test_config_validation_errors():
         "[time]\nt_final = inf\n",
         "[time]\nt_final = nan\n",
         *(f"[envelope]\n{key} = 1\n" for key in ("beta", "m", "kappa", "gamma_c", "t0")),
+        *(f"[coefficients]\n{key} = 5\n" for key in ("a_cap", "alpha_cap")),
     ):
         with pytest.raises(wd.ConfigError):
             wd.parse_config_text(law + bad)
@@ -474,6 +490,18 @@ def test_config_digest_covers_physics_only(tmp_path):
     assert wd.parse_config_text(commented).digest == base
     other_p = P3_CONFIG.format(out=tmp_path / "a").replace("p = 3.0", "p = 5.0", 1)
     assert wd.parse_config_text(other_p).digest != base
+
+
+def test_report_law_follows_replaced_sim(tmp_path):
+    """cfg.law is the law of cfg.sim: a run whose sim got another law
+    calibrates and reports with that law."""
+    cfg = wd.parse_config_text(P3_CONFIG.format(out=tmp_path))
+    p5 = wd.make_feedback("power", p=5.0, r0=1.0)
+    cfg.sim = dataclasses.replace(cfg.sim, law=p5, n=49, t_final=20.0)
+    assert cfg.law is p5
+    res = wd.run_experiment(cfg, write_files=False)
+    assert res.trace.meta["law_p"] == "5"
+    assert res.summary["law"] == repr(p5)
 
 
 def test_config_digest_follows_replaced_sim(tmp_path):

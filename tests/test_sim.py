@@ -312,6 +312,27 @@ def test_backend_failure_report(damped_cfg):
     assert _same_state(st1, st2)
 
 
+def test_ghat_np_matches_reference():
+    """ghat_np, which the start state and the E1 and dissipation samples use,
+    equals `_ghat` on each element bit for bit for every law family: on
+    seeded values, at and around 0, s_sat and 1, beyond s_sat, and at tiny
+    and subnormal speeds."""
+    rng = np.random.default_rng(15)
+    laws = [wd.make_feedback("power", p=p, r0=1.0) for p in (1.5, 3.0, 5.0)] + [
+        wd.make_feedback("linear"),
+        wd.make_feedback("exp_inv_square"),
+        wd.make_feedback("power_log", p=3.0, q=1.5),
+        wd.make_feedback("sub_exponential", p=2.5),
+    ]
+    for law in laws:
+        args = (law.code, law.p, law.q, law.s_sat, law.g_sat)
+        edges = np.array([0.0, 1e-160, 5e-324, 1.0, law.s_sat, 2.0 * law.s_sat, 1e3])
+        edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        s = np.concatenate([rng.uniform(-3.0, 3.0, 20_000), edges, -edges])
+        ref = np.array([_kernels._ghat(x, *args) for x in s.tolist()])
+        assert _kernels.ghat_np(s, *args).tobytes() == ref.tobytes(), law
+
+
 def _state_digest(st):
     """sha256 of the four state arrays' bytes, to compare states across interpreters."""
     names = ("u_prev", "u_curr", "v_prev", "v_curr")

@@ -241,6 +241,13 @@ def test_beta_floor_admits_initial_energy_every_family(kwargs):
         assert wd.optimal_weight(law, e0, wd.beta_floor(law, e0)) == pytest.approx(c0, rel=1e-9)
 
 
+def test_beta_floor_rejects_linear():
+    # L(H'(r0^2)) = 0 for linear-like laws: a ClassificationError, not a division by 0
+    for law in (wd.make_feedback("linear"), wd.make_feedback("power", p=1.0, r0=1.0)):
+        with pytest.raises(ClassificationError):
+            wd.beta_floor(law, 1.0)
+
+
 def test_weight_psi_r_values():
     w = lambda y: y
     assert wd.weight_psi_r(w, 1.0, 0.5, "K") == pytest.approx(1.0, rel=1e-9)
