@@ -227,6 +227,35 @@ def eval_H_prime(law: FeedbackLaw, x: float) -> float:
     return val * (1.0 + p * ell ** (p - 1.0))
 
 
+def _eval_H_second(law: FeedbackLaw, x: float) -> float:
+    """Closed-form H''(x) on (0, r0^2]: the slope of the Newton iterations
+    in `transforms`.  Each factored form is the one whose sign
+    `_convex_r0_bound` reads."""
+    r2 = law.r0**2
+    if x <= 0.0 or x > r2 * (1.0 + 1e-12):
+        raise LawError(f"H'' domain is (0, {r2}], got {x}")
+    fam, p, q = law.family, law.p, law.q
+    if fam == "linear":
+        return 0.0
+    if fam == "power":
+        return 0.25 * (p * p - 1.0) * x ** (0.5 * (p - 3.0))
+    if fam == "exp_inv_square":
+        e = math.exp(-1.0 / x)
+        if e == 0.0:  # as in eval_H_prime
+            return 0.0
+        w = 1.0 / x
+        return e / math.sqrt(x) * w * (w * w - w - 0.25)
+    ell = math.log(1.0 / math.sqrt(x))
+    if fam == "power_log":
+        m = 0.5 * (p + 1.0)
+        poly = m * (m - 1.0) * ell * ell - (m * q - 0.5 * q) * ell + 0.25 * q * (q - 1.0)
+        return x ** (m - 2.0) * ell ** (q - 2.0) * poly
+    # sub_exponential; ell = 0 at x = 1, and not below it
+    ell = max(ell, 0.0)
+    poly = p * p * ell ** (2.0 * (p - 1.0)) - p * (p - 1.0) * ell ** (p - 2.0) - 1.0
+    return 0.25 * math.exp(-(ell**p)) * x**-1.5 * poly
+
+
 def lambda_H(law: FeedbackLaw, x: float) -> float:
     """Lambda(x) = H(x) / (x H'(x)) on (0, r0^2], via the simplified quotient."""
     r2 = law.r0**2

@@ -1,12 +1,16 @@
-"""Shared numerical primitives: adaptive Simpson quadrature and bisection inverses.
+"""Shared numerical primitives: adaptive Simpson quadrature and root finding.
 
-All root finding here is done by bisection on monotone functions.  The
-functions being inverted (H', L, psi0, ...) are guaranteed monotone but not
-uniformly smooth near zero, so derivative-based iterations are avoided.
+Every root found here is that of a monotone function on a bracket.
+bisect_root needs only the sign of f.  newton_root also takes f's slope
+and falls back to bisection wherever a Newton step leaves the bracket or
+the slope is unusable, so it keeps bisection's guarantee where the
+function being inverted (H', L, psi0, ...) is not smooth near zero or has
+underflowed.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 MAX_SUBDIVISIONS = 10**6
@@ -100,6 +104,49 @@ def bisect_root(
         if hi - lo <= xtol + rtol * max(abs(lo), abs(hi)):
             break
     return 0.5 * (lo + hi)
+
+
+def newton_root(
+    f: Callable[[float], tuple[float, float]],
+    lo: float,
+    hi: float,
+    x: float,
+    rtol: float = 1e-12,
+    max_iter: int = 200,
+) -> float:
+    """Root of an increasing f on [lo, hi] by Newton's method from x in
+    [lo, hi], safeguarded by bisection.
+
+    f(x) returns f(x) and its slope f'(x); the caller guarantees f(lo) <= 0
+    <= f(hi), so the ends need no evaluation.  Each evaluated iterate
+    narrows the bracket by its sign.  A step is replaced by a bisection step
+    when the slope is not positive and finite or when the step leaves the
+    bracket, except when it passes an end by at most rtol relative: the
+    root then sits on that end (a cached node, say) and the end is
+    returned.  Stops once the step or the bracket is at most rtol * x wide.
+    """
+    for _ in range(max_iter):
+        fx, slope = f(x)
+        if fx == 0.0:
+            return x
+        if fx < 0.0:
+            lo = x
+        else:
+            hi = x
+        tol = rtol * x
+        nxt = x - fx / slope if 0.0 < slope < math.inf else math.nan
+        if abs(nxt - x) <= tol:
+            return min(max(nxt, lo), hi)
+        if hi <= nxt <= hi * (1.0 + rtol):
+            return hi
+        if lo * (1.0 - rtol) <= nxt <= lo:
+            return lo
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if hi - lo <= tol:
+            return nxt
+        x = nxt
+    return x
 
 
 def invert_increasing(

@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from collections.abc import Callable
 
-from .feedback import FeedbackLaw, eval_H, eval_H_prime, lambda_H, lambda_limit
-from .numutil import adaptive_simpson, bisect_root
+from .feedback import FeedbackLaw, _eval_H_second, eval_H, eval_H_prime, lambda_H, lambda_limit
+from .numutil import adaptive_simpson, bisect_root, newton_root
 from .numutil import invert_increasing  # noqa: F401  (a binding site perfbench/tracing.py wraps)
 
 
@@ -75,9 +75,11 @@ def require_away_from_linear(law: FeedbackLaw) -> None:
 
 
 def hprime_inv(law: FeedbackLaw, y: float) -> float:
-    """(H')^{-1}(y) on [0, H'(r0^2)]: closed form for power laws, else bisection
-    to 1e-12 relative (H' can be tiny where its inverse is not, and an absolute
-    tolerance there makes the psi0 integrand noisy)."""
+    """(H')^{-1}(y) on [0, H'(r0^2)]: closed form for power laws, else Newton's
+    method on log H'(x) - log y (slope H''/H') in [0, r0^2], safeguarded by
+    bisection, to 1e-12 relative.  The log keeps the iteration's scale where
+    H' is tiny and its inverse is not; an iterate where H' underflows to 0
+    is a bisection step."""
     c0 = _c0(law)
     if y < 0.0 or y > c0 * (1.0 + 1e-12):
         raise TransformError(f"H' inverse domain is [0, {c0}], got {y}")
@@ -91,7 +93,16 @@ def hprime_inv(law: FeedbackLaw, y: float) -> float:
         if law.p == 1.0:
             raise ClassificationError("H' is constant for power p=1")
         return (2.0 * y / (law.p + 1.0)) ** (2.0 / (law.p - 1.0))
-    return bisect_root(lambda x: eval_H_prime(law, x) - y, 0.0, law.r0**2, xtol=0.0, rtol=1e-12)
+    log_y = math.log(y)
+
+    def log_gap(x: float) -> tuple[float, float]:
+        hp = eval_H_prime(law, x)
+        if hp <= 0.0:
+            return -math.inf, math.nan
+        return math.log(hp) - log_y, _eval_H_second(law, x) / hp
+
+    r2 = law.r0**2
+    return newton_root(log_gap, 0.0, r2, r2, rtol=1e-12)
 
 
 def conjugate(law: FeedbackLaw, y: float) -> float:
@@ -125,7 +136,7 @@ def eval_L(law: FeedbackLaw, y: float) -> float:
 
 @lru_cache(maxsize=None)
 def _L_edge(law: FeedbackLaw) -> float:
-    """L(H'(r0^2)) = r0^2 (1 - Lambda(r0^2)), computed as inverse_L's bisection
+    """L(H'(r0^2)) = r0^2 (1 - Lambda(r0^2)), computed as inverse_L's iteration
     computes it, so that every z below it is bracketed there."""
     r2 = law.r0**2
     return r2 * (1.0 - lambda_H(law, r2))
@@ -136,7 +147,8 @@ def inverse_L(law: FeedbackLaw, z: float) -> float:
 
     Beyond H'(r0^2), L(y) = r0^2 - H(r0^2)/y is inverted in closed form (this
     covers all z > 0 for the linear law, where L(H'(r0^2)) = 0).  Below it,
-    L(H'(x)) = x (1 - Lambda(x)) rises with x, so x is found by bisection to
+    L(H'(x)) = x (1 - Lambda(x)) rises with x, with slope H H''/H'^2 =
+    Lambda x H''/H', so x is found by safeguarded Newton in [0, r0^2] to
     1e-12 relative and y = H'(x): y keeps its relative precision even where
     H' is tiny (exp_inv_square at moderate z).
     """
@@ -147,18 +159,22 @@ def inverse_L(law: FeedbackLaw, z: float) -> float:
         return 0.0
     if z >= _L_edge(law):
         return _H_edge(law) / (r2 - z)
-    x = bisect_root(
-        lambda x: x * (1.0 - lambda_H(law, x)) - z if x > 0.0 else -z, 0.0, r2, xtol=0.0, rtol=1e-12
-    )
-    return eval_H_prime(law, x)
+
+    def gap(x: float) -> tuple[float, float]:
+        lam = lambda_H(law, x)
+        hp = eval_H_prime(law, x)
+        slope = lam * x * _eval_H_second(law, x) / hp if hp > 0.0 else math.nan
+        return x * (1.0 - lam) - z, slope
+
+    return eval_H_prime(law, newton_root(gap, 0.0, r2, r2, rtol=1e-12))
 
 
 # Cached cumulative values of the psi0 integral, per law: sorted xs with
-# I(x) = int_{1/c0}^x.  Repeated evaluations (the inversion bisections hammer
-# nearby points) then only integrate short segments from the nearest cached
-# node below.  Longer spans are integrated in cached pieces of ratio at most
-# _PSI0_STEP: the integrand varies with log x, which one adaptive Simpson
-# run cannot resolve across many decades.
+# I(x) = int_{1/c0}^x.  Repeated evaluations (the inversions' iterates land
+# near earlier ones) then only integrate short segments from the nearest
+# cached node below.  Longer spans are integrated in cached pieces of ratio
+# at most _PSI0_STEP: the integrand varies with log x, which one adaptive
+# Simpson run cannot resolve across many decades.
 _PSI0_CACHE: dict[FeedbackLaw, tuple[list[float], list[float]]] = {}
 _PSI0_CACHE_CAP = 8192
 _PSI0_STEP = 16.0
@@ -208,12 +224,16 @@ def psi0_eval(law: FeedbackLaw, x: float) -> float:
 
 
 def psi0_inverse(law: FeedbackLaw, tau: float) -> float:
-    """Inverse of psi0 by bisection to 1e-12 relative.
+    """Inverse of psi0 by safeguarded Newton to 1e-12 relative.
 
-    The bracket is the pair of cached nodes around tau, so repeated
-    inversions near earlier ones (an envelope evaluated again at a nearby M)
-    take few steps.  Above the last node, 1 - Lambda <= 1 gives
-    psi0(x) >= x, so 2 tau bounds the root with room for quadrature error.
+    The slope psi0'(x) = 1 / (1 - Lambda((H')^{-1}(1/x))) is the quadrature's
+    own integrand.  The bracket is the pair of cached nodes around tau and
+    the iteration starts at the lower one, whose value is cached.  Every
+    evaluated iterate becomes a node, so an inversion repeated at the same
+    tau (an envelope evaluated again at the same M) finds its root on or
+    within tolerance of a node and ends there with no quadrature.  Above the
+    last node, 1 - Lambda <= 1 gives psi0(x) >= x, so 2 tau bounds the root
+    with room for quadrature error.
     """
     x_min = 1.0 / _c0(law)
     if tau < x_min * (1.0 - 1e-12):
@@ -223,8 +243,10 @@ def psi0_inverse(law: FeedbackLaw, tau: float) -> float:
     xs, values = _PSI0_CACHE.get(law, ([x_min], [0.0]))
     # compared as psi0_eval returns them, so the bracket's signs are exact
     j = _bisect.bisect_left(values, tau, key=lambda v: x_min + v)
+    lo = xs[j - 1]
     hi = min(xs[j], 2.0 * tau) if j < len(xs) else 2.0 * tau
-    return bisect_root(lambda x: psi0_eval(law, x) - tau, xs[j - 1], hi, xtol=0.0, rtol=1e-12)
+    integrand = _psi0_integrand(law)
+    return newton_root(lambda x: (psi0_eval(law, x) - tau, integrand(x)), lo, hi, lo, rtol=1e-12)
 
 
 @dataclass

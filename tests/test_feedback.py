@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import wavedecay as wd
-from wavedecay.feedback import LawError
+from wavedecay.feedback import LawError, _eval_H_second
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +91,30 @@ def test_H_prime_matches_finite_difference(law_kwargs):
         h = x * 1e-5
         fd = (wd.eval_H(law, x + h) - wd.eval_H(law, x - h)) / (2.0 * h)
         assert wd.eval_H_prime(law, x) == pytest.approx(fd, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "law_kwargs",
+    [
+        dict(family="power", p=3.0, r0=1.0),
+        dict(family="power", p=1.7),
+        dict(family="exp_inv_square"),
+        dict(family="power_log", p=3.0, q=2.0),
+        dict(family="sub_exponential", p=3.0),
+        dict(family="linear"),
+    ],
+)
+def test_H_second_matches_finite_difference(law_kwargs):
+    law = wd.make_feedback(**law_kwargs)
+    r2 = law.r0**2
+    hp = lambda v: wd.eval_H_prime(law, v)
+    for x in r2 * np.logspace(-3.0, 0.0, 121)[1:]:
+        h = x * 1e-6
+        if x + h <= r2:
+            fd = (hp(x + h) - hp(x - h)) / (2.0 * h)
+        else:  # the domain's right end: the one-sided second-order difference
+            fd = (3.0 * hp(x) - 4.0 * hp(x - h) + hp(x - 2.0 * h)) / (2.0 * h)
+        assert _eval_H_second(law, x) == pytest.approx(fd, rel=1e-6), x
 
 
 def test_nonlinear_families_vanish_at_zero():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import wavedecay as wd
+from wavedecay import transforms
 from wavedecay.harness import HarnessError, _atomic_write
 from wavedecay.transforms import ClassificationError, TransformError
 
@@ -256,6 +257,28 @@ def test_calibrate_upper_general_is_repeatable(law_name):
     first = wd.calibrate_upper(tr, law, kind="general")
     again = wd.calibrate_upper(tr, law, kind="general")
     assert (again.M, again.extras["margins"]) == (first.M, first.extras["margins"])
+
+
+@pytest.mark.parametrize("law_name", sorted(CALIBRATION_LAWS))
+def test_compare_after_general_calibration_reuses_psi0_nodes(law_name, monkeypatch):
+    # the calibration's verification pass inverted psi0 at the same t/M, so
+    # every root now sits on or within 1e-12 of a cached node: each inversion
+    # must end there instead of halving its way toward it
+    params, a = CALIBRATION_LAWS[law_name]
+    law = wd.make_feedback(**params, eps_clip=1.6e-16)  # a law no other test warms
+    tr = _decay_trace(lambda t: 2.0 * (1.0 + t) ** -a)
+    env = wd.calibrate_upper(tr, law, kind="general")
+    calls = 0
+    quadrature = transforms.adaptive_simpson
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(transforms, "adaptive_simpson", counting)
+    rep = wd.compare_to_envelope(tr, env, t_start=env.extras["t_calibration"])
+    assert calls <= 2 * rep.n_points
 
 
 @pytest.mark.parametrize("kind", ["simplified", "general"])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavedecay as wd
+from wavedecay.numutil import bisect_root
 from wavedecay.transforms import ClassificationError, TransformError
 
 
@@ -102,6 +103,34 @@ def test_fenchel_inequality(x, y):
 
 
 # ---------------------------------------------------------------------------
+# (H')^{-1}
+
+# the laws whose (H')^{-1} is iterated, with the decades of y below H'(r0^2)
+# tested; exp_inv_square's root stays above 1e-3 down to y = 1e-300
+NEWTON_LAWS = {
+    "exp_inv_square": (dict(family="exp_inv_square"), 298),
+    "power_log": (dict(family="power_log", p=3.0, q=2.0), 40),
+    "sub_exponential": (dict(family="sub_exponential", p=2.5), 40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEWTON_LAWS))
+def test_hprime_inv_against_bisection(name):
+    params, decades = NEWTON_LAWS[name]
+    law = wd.make_feedback(**params)
+    r2 = law.r0**2
+    c0 = wd.eval_H_prime(law, r2)
+    for y in c0 * np.logspace(-decades, 0.0, 4 * decades + 1)[:-1]:
+        x = wd.hprime_inv(law, y)
+        assert wd.eval_H_prime(law, x) == pytest.approx(y, rel=1e-10)
+        gap = lambda v: wd.eval_H_prime(law, v) - y
+        ref = bisect_root(gap, 0.0, r2, xtol=0.0, rtol=1e-13, max_iter=400)
+        assert x == pytest.approx(ref, rel=1e-11)
+    assert wd.hprime_inv(law, c0) == r2
+    assert wd.hprime_inv(law, 0.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
 # psi0
 
 
@@ -140,6 +169,19 @@ def test_psi0_inverse_values(power3):
     assert wd.psi0_inverse(power3, 10.0) == pytest.approx(5.25, abs=1e-9)
     with pytest.raises(TransformError):
         wd.psi0_inverse(power3, 0.4)
+
+
+@pytest.mark.parametrize("name", sorted(NEWTON_LAWS))
+def test_psi0_inverse_roundtrip(name):
+    params, _ = NEWTON_LAWS[name]
+    law = wd.make_feedback(**params)
+    cold = wd.make_feedback(**params, eps_clip=2e-16)  # an equal law with its own psi0 cache
+    x_min = 1.0 / wd.eval_H_prime(law, law.r0**2)
+    for x in x_min * np.geomspace(1.0 + 1e-6, 1e6, 25):
+        v = wd.psi0_eval(law, x)
+        # x is now a cached node with the value v: the inversion ends next to it
+        assert wd.psi0_inverse(law, v) == pytest.approx(x, rel=1e-12)
+        assert wd.psi0_inverse(cold, v) == pytest.approx(x, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
