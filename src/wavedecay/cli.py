@@ -36,7 +36,7 @@ from .harness import (
     lemma_suite,
     run_experiment,
 )
-from .numutil import QuadratureError, log_midpoints
+from .numutil import QuadratureError, RootError, log_midpoints
 from .odecmp import ComparisonError, K_inverse, solve_comparison
 from .sim import EnergyTrace, SimConfig, SimError, run
 from .transforms import DecayEnvelope, TransformError, envelope_value, eval_L
@@ -52,8 +52,8 @@ def _parse_grid(text: str, default_lo: float, default_hi: float, default_n: int 
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
         raise ConfigError(f"grid must be LO:HI:N, got {text!r}") from None
-    if not (0.0 < lo < hi) or n < 2:
-        raise ConfigError("grid needs 0 < LO < HI and N >= 2")
+    if not (0.0 < lo < hi < math.inf) or n < 2:
+        raise ConfigError(f"grid needs finite 0 < LO < HI and N >= 2, got {text!r}")
     return log_midpoints(lo, hi, n)
 
 
@@ -71,7 +71,9 @@ def _cmd_calc(args) -> int:
         try:
             xs = [float(tok) for tok in args.calculus.split(",")]
         except ValueError:
-            raise ConfigError(f"--calculus must be numbers, got {args.calculus!r}") from None
+            xs = []
+        if not (xs and all(map(math.isfinite, xs))):
+            raise ConfigError(f"--calculus must be finite numbers, got {args.calculus!r}")
         print("x\tH\tH_prime\tlambda")
         for x in xs:
             lam = lambda_H(law, x) if x > 0.0 else math.nan
@@ -154,6 +156,9 @@ def _cmd_compare_trace(args) -> int:
 
 
 def _cmd_compare_ode(args) -> int:
+    for name, value in (("--kappa", args.kappa), ("--z0", args.z0)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
     cfg = load_config(args.config)
     law = cfg.law
     kappa = args.kappa if args.kappa is not None else (
@@ -310,7 +315,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERR
-    except (SimError, TransformError, HarnessError, ComparisonError, LawError, QuadratureError) as exc:
+    except (
+        SimError, TransformError, HarnessError, ComparisonError, LawError, QuadratureError, RootError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL
 

@@ -30,7 +30,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from .feedback import CoefficientField, FeedbackLaw, LawError, make_feedback
-from .sim import DEFAULT_ALPHA_MAX, SimConfig, SimError, parse_profile
+from .sim import SimConfig, SimError, parse_profile
 
 
 class ConfigError(ValueError):
@@ -106,9 +106,9 @@ def _parse_numbers(text: str, count: int, name: str) -> list[float]:
     return values
 
 
-def _numbers(sec, key: str, default: str, count: int = 1) -> list[float]:
-    """The value of key (default when it is absent) as count numbers."""
-    return _parse_numbers(sec.get(key, default), count, f"[{sec.name}] {key}")
+def _numbers(sec, key: str, count: int = 1) -> list[float]:
+    """The value of key, which is present, as count numbers."""
+    return _parse_numbers(sec[key], count, f"[{sec.name}] {key}")
 
 
 def parse_fit_window(text: str, name: str = "[fit] window") -> tuple[float, float]:
@@ -125,8 +125,8 @@ def _coeff_field(sec, prefix: str) -> CoefficientField | None:
         return None
     if f"{prefix}_support" not in sec:
         raise ConfigError(f"{prefix}_support required when {prefix}_profile is set")
-    lo, hi = _numbers(sec, f"{prefix}_support", "", 2)
-    (floor,) = _numbers(sec, f"{prefix}_floor", "1.0")
+    lo, hi = _numbers(sec, f"{prefix}_support", 2)
+    (floor,) = _numbers(sec, f"{prefix}_floor") if f"{prefix}_floor" in sec else (1.0,)
     try:
         return CoefficientField(profile=profile, support=(lo, hi), floor=floor)
     except LawError as exc:
@@ -151,68 +151,58 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError("config requires a [law] section")
     lsec = cp["law"]
     try:
-        law = make_feedback(
-            lsec.get("family", "power").strip(),
-            p=lsec.getfloat("p", fallback=None),
-            q=lsec.getfloat("q", fallback=None),
-            r0=lsec.getfloat("r0", fallback=None),
-            eps_clip=lsec.getfloat("eps_clip", fallback=1e-16),
-        )
+        law_kw = {key: lsec.getfloat(key) for key in ("p", "q", "r0", "eps_clip") if key in lsec}
+        law = make_feedback(lsec.get("family", "power").strip(), **law_kw)
     except (LawError, ValueError) as exc:
         raise ConfigError(f"bad [law] section: {exc}") from exc
 
-    for section in _KNOWN:  # absent sections read as empty, so every key takes its default
+    # Only the keys a config sets are passed on: every default is the one
+    # SimConfig, EnvelopeParams, FitParams and ExperimentConfig declare.
+    for section in _KNOWN:  # absent sections read as empty
         if section not in cp:
             cp.add_section(section)
-    csec = cp["coefficients"]
-    alpha_field = _coeff_field(csec, "alpha")
-    a_field = _coeff_field(csec, "a")
-    (alpha_max,) = _numbers(csec, "alpha_max", str(DEFAULT_ALPHA_MAX))
-
-    gsec, tsec, isec = cp["grid"], cp["time"], cp["initial"]
-    (cfl,) = _numbers(gsec, "cfl", "0.9")
-    (t_final,) = _numbers(tsec, "t_final", "2000")
-    dt = _numbers(tsec, "dt", "")[0] if "dt" in tsec else None
+    csec, gsec, tsec, isec = cp["coefficients"], cp["grid"], cp["time"], cp["initial"]
+    sim_kw: dict[str, object] = {
+        "alpha_field": _coeff_field(csec, "alpha"),
+        "a_field": _coeff_field(csec, "a"),
+    }
+    for sec, key in ((csec, "alpha_max"), (gsec, "cfl"), (tsec, "t_final"), (tsec, "dt")):
+        if key in sec:
+            (sim_kw[key],) = _numbers(sec, key)
     try:
-        sim = SimConfig(
-            law=law,
-            alpha_field=alpha_field,
-            a_field=a_field,
-            n=int(gsec.get("n", "399")),
-            cfl=cfl,
-            dt=dt,
-            t_final=t_final,
-            stride=int(tsec.get("stride", "200")),
-            u0=isec.get("u0", "sine:1:1.0"),
-            u1=isec.get("u1", "zero"),
-            v0=isec.get("v0", "sine:2:0.5"),
-            v1=isec.get("v1", "zero"),
-            smooth=isec.getboolean("smooth", fallback=True),
-            alpha_max=alpha_max,
-        )
+        for sec, key in ((gsec, "n"), (tsec, "stride")):
+            if key in sec:
+                sim_kw[key] = int(sec[key])
+        sim_kw.update((key, isec[key]) for key in ("u0", "u1", "v0", "v1") if key in isec)
+        if "smooth" in isec:
+            sim_kw["smooth"] = isec.getboolean("smooth")
+        sim = SimConfig(law=law, **sim_kw)
         for profile in (sim.u0, sim.u1, sim.v0, sim.v1):
             parse_profile(profile)  # a profile that does not parse fails here, not in the run
     except (ValueError, SimError) as exc:
         raise ConfigError(f"bad grid/time/initial settings: {exc}") from exc
 
     esec = cp["envelope"]
-    kind = esec.get("kind", "auto").strip()
-    if kind not in ("auto", "general", "simplified"):
-        raise ConfigError(f"envelope kind must be auto|general|simplified, got {kind!r}")
-    (T1,) = _numbers(esec, "t1", "0.0")
-    env = EnvelopeParams(kind=kind, T1=T1)
+    env = EnvelopeParams()
+    if "kind" in esec:
+        env.kind = esec["kind"].strip()
+    if env.kind not in ("auto", "general", "simplified"):
+        raise ConfigError(f"envelope kind must be auto|general|simplified, got {env.kind!r}")
+    if "t1" in esec:
+        (env.T1,) = _numbers(esec, "t1")
 
     fsec = cp["fit"]
-    fit = FitParams(mode=fsec.get("mode", "auto").strip())
+    fit = FitParams()
+    if "mode" in fsec:
+        fit.mode = fsec["mode"].strip()
     if fit.mode not in ("auto", "power", "loglog", "stretched", "exp"):
         raise ConfigError(f"unknown fit mode {fit.mode!r}")
     if fsec.get("window"):
         fit.window = parse_fit_window(fsec["window"])
 
-    out_dir = cp["output"].get("dir", "out")
-    name = cp["output"].get("name", "experiment")
-
-    return ExperimentConfig(sim=sim, envelope=env, fit=fit, out_dir=out_dir, name=name)
+    osec = cp["output"]
+    out_kw = {attr: osec[key] for key, attr in (("dir", "out_dir"), ("name", "name")) if key in osec}
+    return ExperimentConfig(sim=sim, envelope=env, fit=fit, **out_kw)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _g, _ghat
+from .numutil import invert_increasing
 
 FAMILIES = ("linear", "power", "exp_inv_square", "power_log", "sub_exponential")
 
@@ -97,18 +98,12 @@ def _convex_r0_bound(family: str, p: float, q: float) -> float | None:
         return math.exp(-ell)
     if family == "sub_exponential":
         # convex where  p^2 ell^{2(p-1)} - p(p-1) ell^{p-2} - 1 > 0
+        # (negative up to ell*, p - 1 > 0 at ell = 1).  The indicator of that
+        # inequality is inverted at 1/2, so no iterate lands on a root and the
+        # halving ends at the pair of adjacent doubles around ell*.
         f = lambda ell: p * p * ell ** (2.0 * (p - 1.0)) - p * (p - 1.0) * ell ** (p - 2.0) - 1.0
-        hi = 1.0
-        while f(hi) < 0.0:
-            hi *= 2.0
-        lo = 1e-9
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if f(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return math.exp(-0.5 * (lo + hi))
+        ell = invert_increasing(lambda v: float(f(v) >= 0.0), 0.5, 1e-9, 1.0, xtol=0.0)
+        return math.exp(-ell)
     if family == "exp_inv_square":
         # H'' > 0 iff x + x^2/4 < 1, i.e. x < 2(sqrt(2) - 1)
         return math.sqrt(2.0 * (math.sqrt(2.0) - 1.0))

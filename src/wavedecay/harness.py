@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .feedback import FeedbackLaw, LawError
-from .numutil import invert_increasing
+from .numutil import RootError, invert_increasing
 from .odecmp import hfl_screen
 from .sim import EnergyTrace, run
 from .transforms import (
@@ -481,7 +481,7 @@ def calibrate_upper(
             # growing powers: the envelope can rise far slower than M, and a
             # bare shortfall of 1e-13 drowns in the inverses' tolerances
             M *= shortfall ** (8 ** (k + 1))
-    except (TransformError, LawError) as exc:
+    except (TransformError, LawError, RootError) as exc:
         raise HarnessError(UNDOMINATED) from exc
     raise HarnessError(
         f"upper-envelope calibration failed: the envelope at M = {M:g} stays "
@@ -573,7 +573,7 @@ def envelope_summary(trace: EnergyTrace, cfg: ExperimentConfig, window) -> dict[
             upper_margin_max=hi,
             upper_pass=hi <= UPPER_MARGIN_SLACK,
         )
-    except (TransformError, HarnessError) as exc:
+    except (TransformError, HarnessError, RootError) as exc:
         out["upper_envelope"] = f"skipped: {exc}"
 
     if not (cfg.sim.smooth and hfl_screen(law)):
@@ -590,7 +590,7 @@ def envelope_summary(trace: EnergyTrace, cfg: ExperimentConfig, window) -> dict[
             lower_margin_max=hi,
             lower_pass=lo >= LOWER_MARGIN_SLACK,
         )
-    except (TransformError, HarnessError) as exc:
+    except (TransformError, HarnessError, RootError) as exc:
         out["lower_envelope"] = f"skipped: {exc}"
     return out
 
@@ -680,7 +680,7 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> Experimen
                 chk = check_integral_inequality(trace, weight, mode="finite")
                 summary[key] = chk.M
                 checks.append(math.isfinite(chk.M))
-            except (TransformError, HarnessError) as exc:
+            except (TransformError, HarnessError, RootError) as exc:
                 summary[key] = f"failed: {exc}"
                 checks.append(False)
             if law.family == "power" and law.p > 1.0:

@@ -1,11 +1,13 @@
 """Shared numerical primitives: adaptive Simpson quadrature and root finding.
 
-Every root found here is that of a monotone function on a bracket.
-bisect_root needs only the sign of f.  newton_root also takes f's slope
-and falls back to bisection wherever a Newton step leaves the bracket or
-the slope is unusable, so it keeps bisection's guarantee where the
-function being inverted (H', L, psi0, ...) is not smooth near zero or has
-underflowed.
+Every root found here is that of a monotone function on a bracket, and
+newton_root holds the one loop that finds it: Newton steps where f's slope
+is given and usable, bisection steps elsewhere, so it keeps bisection's
+guarantee where the function being inverted (H', L, psi0, ...) is not
+smooth near zero or has underflowed.  bisect_root needs only the sign of f
+and hands the loop a slope of nan; invert_increasing brackets an inverse on
+a half line and calls bisect_root.  A solve that runs out of iterations
+raises RootError rather than returning an unconverged iterate.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ MAX_SUBDIVISIONS = 10**6
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
+
+
+class RootError(RuntimeError):
+    """A root solve ran out of iterations before meeting its tolerance."""
 
 
 def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
@@ -81,9 +87,11 @@ def bisect_root(
     max_iter: int = 200,
     rtol: float = 0.0,
 ) -> float:
-    """Root of f on [lo, hi] by plain bisection; f(lo) and f(hi) must not share sign.
+    """Root of f on [lo, hi] by bisection; f(lo) and f(hi) must not share sign.
 
-    Stops once the bracket is at most xtol + rtol * max(|lo|, |hi|) wide.
+    f may rise or fall.  The halving is newton_root's, given no slope, so it
+    stops as newton_root does once the bracket is at most xtol + rtol * |x|
+    wide, x the last midpoint, and raises RootError after max_iter halvings.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -92,18 +100,11 @@ def bisect_root(
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise ValueError(f"root not bracketed on [{lo}, {hi}]")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (fhi > 0.0):
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= xtol + rtol * max(abs(lo), abs(hi)):
-            break
-    return 0.5 * (lo + hi)
+    sign = 1.0 if fhi > 0.0 else -1.0
+    return newton_root(
+        lambda x: (sign * f(x), math.nan), lo, hi, 0.5 * (lo + hi),
+        rtol=rtol, max_iter=max_iter, xtol=xtol,
+    )
 
 
 def newton_root(
@@ -113,17 +114,22 @@ def newton_root(
     x: float,
     rtol: float = 1e-12,
     max_iter: int = 200,
+    xtol: float = 0.0,
 ) -> float:
     """Root of an increasing f on [lo, hi] by Newton's method from x in
-    [lo, hi], safeguarded by bisection.
+    [lo, hi], safeguarded by bisection: the package's one root-finding loop.
 
     f(x) returns f(x) and its slope f'(x); the caller guarantees f(lo) <= 0
     <= f(hi), so the ends need no evaluation.  Each evaluated iterate
     narrows the bracket by its sign.  A step is replaced by a bisection step
-    when the slope is not positive and finite or when the step leaves the
-    bracket, except when it passes an end by at most rtol relative: the
-    root then sits on that end (a cached node, say) and the end is
-    returned.  Stops once the step or the bracket is at most rtol * x wide.
+    when the slope is not positive and finite (a slope of nan makes the
+    whole solve a bisection) or when the step leaves the bracket, except
+    when it passes an end by at most that end's tolerance: the root then
+    sits on that end (a cached node, say) and the end is returned.  The
+    tolerance at x is xtol + rtol * |x|, so the iteration may run in a
+    variable of either sign (log x, say).  Stops once the step or the
+    bracket is within it, or, returning the midpoint, once the bracket is
+    two adjacent doubles; raises RootError after max_iter evaluations.
     """
     for _ in range(max_iter):
         fx, slope = f(x)
@@ -133,20 +139,22 @@ def newton_root(
             lo = x
         else:
             hi = x
-        tol = rtol * x
+        tol = xtol + rtol * abs(x)
         nxt = x - fx / slope if 0.0 < slope < math.inf else math.nan
         if abs(nxt - x) <= tol:
             return min(max(nxt, lo), hi)
-        if hi <= nxt <= hi * (1.0 + rtol):
+        if hi <= nxt <= hi + (xtol + rtol * abs(hi)):
             return hi
-        if lo * (1.0 - rtol) <= nxt <= lo:
+        if lo - (xtol + rtol * abs(lo)) <= nxt <= lo:
             return lo
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:  # the bracket cannot shrink further
+                return nxt
         if hi - lo <= tol:
             return nxt
         x = nxt
-    return x
+    raise RootError(f"root solve on [{lo!r}, {hi!r}] did not converge in {max_iter} iterations")
 
 
 def invert_increasing(

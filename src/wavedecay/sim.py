@@ -253,6 +253,13 @@ def step(state: WaveState) -> WaveState:
     return state
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """sum(x * y) by numpy's pairwise summation, whose order no CPU feature
+    changes.  np.dot would call BLAS, whose kernel, and so whose rounding,
+    OpenBLAS picks by CPU."""
+    return np.add.reduce(x * y)
+
+
 def energy(state: WaveState) -> tuple[float, float]:
     """Compatible discrete energy and first-order energy at the half step.
 
@@ -264,12 +271,12 @@ def energy(state: WaveState) -> tuple[float, float]:
     dt, dx = state.dt, state.dx
     wu = (state.u_curr - state.u_prev) / dt
     wv = (state.v_curr - state.v_prev) / dt
-    kin = 0.5 * dx * (np.dot(wu[1:-1], wu[1:-1]) + np.dot(wv[1:-1], wv[1:-1]))
+    kin = 0.5 * dx * (_dot(wu[1:-1], wu[1:-1]) + _dot(wv[1:-1], wv[1:-1]))
     duc = np.diff(state.u_curr) / dx
     dup = np.diff(state.u_prev) / dx
     dvc = np.diff(state.v_curr) / dx
     dvp = np.diff(state.v_prev) / dx
-    grad = 0.5 * dx * (np.dot(duc, dup) + np.dot(dvc, dvp))
+    grad = 0.5 * dx * (_dot(duc, dup) + _dot(dvc, dvp))
     e = kin + grad
 
     law = state.law
@@ -278,11 +285,10 @@ def energy(state: WaveState) -> tuple[float, float]:
     rho = state.a * ghat_np(wu, law.code, law.p, law.q, law.s_sat, law.g_sat)
     u_tt = _lap(u_half, dx) - state.alpha * wv - rho
     v_tt = _lap(v_half, dx) + state.alpha * wu
+    dwu = np.diff(wu) / dx
+    dwv = np.diff(wv) / dx
     e1 = 0.5 * dx * (
-        np.dot(u_tt[1:-1], u_tt[1:-1])
-        + np.dot(v_tt[1:-1], v_tt[1:-1])
-        + np.dot(np.diff(wu) / dx, np.diff(wu) / dx)
-        + np.dot(np.diff(wv) / dx, np.diff(wv) / dx)
+        _dot(u_tt[1:-1], u_tt[1:-1]) + _dot(v_tt[1:-1], v_tt[1:-1]) + _dot(dwu, dwu) + _dot(dwv, dwv)
     )
     return float(e), float(e1)
 
@@ -292,7 +298,7 @@ def dissipation_rate(state: WaveState) -> float:
     law = state.law
     wu = (state.u_curr - state.u_prev) / state.dt
     rho = state.a * ghat_np(wu, law.code, law.p, law.q, law.s_sat, law.g_sat)
-    return float(-state.dx * np.dot(wu[1:-1], rho[1:-1]))
+    return float(-state.dx * _dot(wu[1:-1], rho[1:-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -74,12 +74,23 @@ def require_away_from_linear(law: FeedbackLaw) -> None:
         )
 
 
+# Below this log x, x = e^w underflows to 0, where H' = 0: the lower end of
+# every (H')^{-1} bracket in w = log x.
+_LOG_X_FLOOR = math.log(math.ulp(0.0)) - 1.0
+
+
 def hprime_inv(law: FeedbackLaw, y: float) -> float:
-    """(H')^{-1}(y) on [0, H'(r0^2)]: closed form for power laws, else Newton's
-    method on log H'(x) - log y (slope H''/H') in [0, r0^2], safeguarded by
-    bisection, to 1e-12 relative.  The log keeps the iteration's scale where
-    H' is tiny and its inverse is not; an iterate where H' underflows to 0
-    is a bisection step."""
+    """(H')^{-1}(y) on [0, H'(r0^2)].
+
+    Power laws have a closed form.  For the other families x = e^w, with w
+    the root of log H'(e^w) - log y (slope x H''/H'), found by safeguarded
+    Newton from w = log r0^2 to 1e-12 in w, i.e. to 1e-12 relative in x.
+    The lower end of the bracket lies where e^w underflows and H' = 0, so
+    the bisection steps halve w, not x: a root at x = 1e-300 is as near in
+    steps as one at 1e-3, and H'(x) = y holds to better than 1e-12
+    relative for every root that is a normal double (a root below that
+    comes back as 0 or a subnormal).  An iterate where H' underflows is a bisection step.
+    """
     c0 = _c0(law)
     if y < 0.0 or y > c0 * (1.0 + 1e-12):
         raise TransformError(f"H' inverse domain is [0, {c0}], got {y}")
@@ -95,14 +106,15 @@ def hprime_inv(law: FeedbackLaw, y: float) -> float:
         return (2.0 * y / (law.p + 1.0)) ** (2.0 / (law.p - 1.0))
     log_y = math.log(y)
 
-    def log_gap(x: float) -> tuple[float, float]:
+    def log_gap(w: float) -> tuple[float, float]:
+        x = math.exp(w)
         hp = eval_H_prime(law, x)
         if hp <= 0.0:
             return -math.inf, math.nan
-        return math.log(hp) - log_y, _eval_H_second(law, x) / hp
+        return math.log(hp) - log_y, x * _eval_H_second(law, x) / hp
 
-    r2 = law.r0**2
-    return newton_root(log_gap, 0.0, r2, r2, rtol=1e-12)
+    w_edge = math.log(law.r0**2)
+    return math.exp(newton_root(log_gap, _LOG_X_FLOOR, w_edge, w_edge, rtol=0.0, xtol=1e-12))
 
 
 def conjugate(law: FeedbackLaw, y: float) -> float:

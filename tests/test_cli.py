@@ -148,6 +148,15 @@ def test_unreadable_trace_exit_code(argv, cfg_path, tmp_path, capsys):
     ["fit", "--trace", "{trace}", "--mode", "stretched", "--stretch-p", "-1"],
     ["fit", "--trace", "{trace}", "--mode", "stretched", "--stretch-p", "nan"],
     ["fit", "--trace", "{trace}", "--mode", "stretched", "--stretch-p", "inf"],
+    ["calc", "--config", "{cfg}", "--grid", "1:inf:3"],
+    ["calc", "--config", "{cfg}", "--grid", "nan:2:3"],
+    ["calc", "--config", "{cfg}", "--calculus", "nan"],
+    ["calc", "--config", "{cfg}", "--calculus", "0.5,inf"],
+    ["compare", "ode", "--config", "{cfg}", "--grid", "1:inf:3"],
+    ["compare", "ode", "--config", "{cfg}", "--kappa", "nan"],
+    ["compare", "ode", "--config", "{cfg}", "--kappa", "inf"],
+    ["compare", "ode", "--config", "{cfg}", "--z0", "nan"],
+    ["compare", "ode", "--config", "{cfg}", "--z0", "inf"],
 ])
 def test_unparsable_argument_exit_code(argv, cfg_path, tmp_path, capsys):
     # every other input is valid: the trace is readable, the config parses
@@ -163,6 +172,18 @@ def test_unparsable_argument_exit_code(argv, cfg_path, tmp_path, capsys):
 def test_law_error_exit_code(cfg_path, capsys):
     assert main(["calc", "--config", cfg_path, "--calculus", "2.0"]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_root_error_exit_code(monkeypatch, capsys):
+    # a root solve cut to one iteration cannot converge: an error line, exit 1
+    from wavedecay import numutil, transforms
+
+    short = lambda *args, **kwargs: numutil.newton_root(*args, **{**kwargs, "max_iter": 1})
+    monkeypatch.setattr(transforms, "newton_root", short)
+    cfg = str(CONFIGS / "exp_inv_square.ini")
+    assert main(["calc", "--config", cfg, "--grid", "10:100:3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: root solve") and err.count("\n") == 1
 
 
 def test_quadrature_error_exit_code(capsys):

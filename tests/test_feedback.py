@@ -239,6 +239,24 @@ def test_convexity_default_r0_families():
         assert wd.convexity_check(wd.make_feedback(**kwargs)).strictly_convex
 
 
+# Default r0 values shrunk into the convex range, to the bit: sub_exponential's
+# edge is found by bisection, power_log's in closed form.  Every config digest,
+# trace and report of such a law depends on them.
+DEFAULT_R0_HEX = [
+    (dict(family="sub_exponential", p=2.1), "0x1.809159936425fp-2"),
+    (dict(family="sub_exponential", p=2.5), "0x1.76a84a4a1007cp-2"),
+    (dict(family="sub_exponential", p=3.0), "0x1.6e13cbbf9fa76p-2"),
+    (dict(family="sub_exponential", p=4.0), "0x1.63f2d9e3104f0p-2"),
+    (dict(family="sub_exponential", p=6.0), "0x1.5b4ccdf2c22f6p-2"),
+    (dict(family="power_log", p=3.0, q=2.0), "0x1.f1d24a776e3e1p-3"),
+]
+
+
+@pytest.mark.parametrize("kwargs, expected", DEFAULT_R0_HEX)
+def test_default_r0_bits(kwargs, expected):
+    assert wd.make_feedback(**kwargs).r0.hex() == expected
+
+
 # ---------------------------------------------------------------------------
 # damping function rho
 

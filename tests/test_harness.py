@@ -515,6 +515,24 @@ def test_config_digest_covers_physics_only(tmp_path):
     assert wd.parse_config_text(other_p).digest != base
 
 
+@pytest.mark.parametrize("name, digest", [
+    ("cubic_damping.ini", "c9d56752991c990e"),
+    ("exp_inv_square.ini", "fd411b1479709440"),
+    ("linear_damping.ini", "d45fcc26f32ef136"),
+])
+def test_shipped_config_digests(name, digest):
+    """The digest line of every shipped config's trace and reports."""
+    path = Path(__file__).resolve().parents[1] / "configs" / name
+    assert wd.load_config(path).digest == digest
+
+
+def test_config_defaults_are_the_dataclasses():
+    """A config that sets only its law gets every other value from the
+    dataclasses' own defaults."""
+    cfg = wd.parse_config_text("[law]\nfamily = power\np = 3\n")
+    assert cfg == wd.ExperimentConfig(sim=wd.SimConfig(law=wd.make_feedback("power", p=3.0)))
+
+
 def test_report_law_follows_replaced_sim(tmp_path):
     """cfg.law is the law of cfg.sim: a run whose sim got another law
     calibrates and reports with that law."""

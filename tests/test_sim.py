@@ -411,6 +411,42 @@ def test_compiled_step_cache(tmp_path):
     assert not list(tmp.iterdir())
 
 
+TRACE_PROBE = textwrap.dedent(
+    """
+    import dataclasses
+    import sys
+
+    sys.path.insert(0, sys.argv[1])
+
+    import wavedecay as wd
+
+    cfg = wd.load_config(sys.argv[2])
+    short = dataclasses.replace(cfg.sim, n=99, t_final=20.0, stride=20)
+    sys.stdout.write(wd.run(short).csv_text())
+    """
+)
+
+
+def test_trace_bytes_do_not_depend_on_the_blas_core():
+    """The trace's sums are numpy's own, not BLAS dot products, whose code
+    OpenBLAS picks by CPU: a short cubic run writes the same bytes under the
+    default core and under OPENBLAS_CORETYPE=Prescott (SSE3, which every
+    x86-64 CPU that runs the test can execute)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    config = os.path.join(root, "configs", "cubic_damping.ini")
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    texts = []
+    for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        out = subprocess.run(
+            [sys.executable, "-c", TRACE_PROBE, os.path.join(root, "src"), config],
+            env={**base, **extra}, capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        texts.append(out.stdout)
+    assert texts[0].count("\n") > 100
+    assert texts[0] == texts[1]
+
+
 def test_trace_csv_roundtrip(tmp_path, power3, damped_cfg):
     tr = wd.run(damped_cfg)
     path = tmp_path / "trace.csv"

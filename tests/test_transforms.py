@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavedecay as wd
-from wavedecay.numutil import bisect_root
+from wavedecay.numutil import RootError, bisect_root, newton_root
 from wavedecay.transforms import ClassificationError, TransformError
 
 
@@ -105,29 +107,55 @@ def test_fenchel_inequality(x, y):
 # ---------------------------------------------------------------------------
 # (H')^{-1}
 
-# the laws whose (H')^{-1} is iterated, with the decades of y below H'(r0^2)
-# tested; exp_inv_square's root stays above 1e-3 down to y = 1e-300
+# the laws whose (H')^{-1} is iterated
 NEWTON_LAWS = {
-    "exp_inv_square": (dict(family="exp_inv_square"), 298),
-    "power_log": (dict(family="power_log", p=3.0, q=2.0), 40),
-    "sub_exponential": (dict(family="sub_exponential", p=2.5), 40),
+    "exp_inv_square": dict(family="exp_inv_square"),
+    "power_log": dict(family="power_log", p=3.0, q=2.0),
+    "sub_exponential": dict(family="sub_exponential", p=2.5),
 }
 
 
 @pytest.mark.parametrize("name", sorted(NEWTON_LAWS))
 def test_hprime_inv_against_bisection(name):
-    params, decades = NEWTON_LAWS[name]
-    law = wd.make_feedback(**params)
+    """H'(hprime_inv(y)) = y for y in half decades from H'(r0^2) down to
+    1e-300, where power_log's root is near 1e-300 itself, and the root
+    agrees with a plain bisection in log x (x = e^-800 is 0, where H' = 0).
+    The ratios are compared, as pytest.approx's default absolute tolerance
+    of 1e-12 would pass any two values this small."""
+    law = wd.make_feedback(**NEWTON_LAWS[name])
     r2 = law.r0**2
     c0 = wd.eval_H_prime(law, r2)
-    for y in c0 * np.logspace(-decades, 0.0, 4 * decades + 1)[:-1]:
+    ys = [c0 * 10.0 ** (-k / 2) for k in range(1, 700)]
+    ys = [y for y in ys if y >= 1e-300]
+    assert ys[-1] < 1e-299
+    for y in ys:
         x = wd.hprime_inv(law, y)
-        assert wd.eval_H_prime(law, x) == pytest.approx(y, rel=1e-10)
-        gap = lambda v: wd.eval_H_prime(law, v) - y
-        ref = bisect_root(gap, 0.0, r2, xtol=0.0, rtol=1e-13, max_iter=400)
-        assert x == pytest.approx(ref, rel=1e-11)
+        assert wd.eval_H_prime(law, x) / y == pytest.approx(1.0, rel=1e-10)
+        gap = lambda w: wd.eval_H_prime(law, math.exp(w)) - y
+        ref = math.exp(bisect_root(gap, -800.0, math.log(r2), xtol=1e-14))
+        assert x / ref == pytest.approx(1.0, rel=1e-11)
     assert wd.hprime_inv(law, c0) == r2
     assert wd.hprime_inv(law, 0.0) == 0.0
+
+
+def test_root_solve_out_of_iterations_raises():
+    """A solve that has not met its tolerance after max_iter evaluations
+    raises RootError instead of returning its last iterate."""
+    calls = []
+
+    def slow(x):
+        calls.append(x)
+        return x - 1.0 / 3.0, math.nan  # no slope: bisection steps only
+
+    with pytest.raises(RootError):
+        newton_root(slow, 0.0, 1.0, 0.5, rtol=0.0, max_iter=10)
+    assert len(calls) == 10
+    with pytest.raises(RootError):
+        bisect_root(lambda x: 1.0 / 3.0 - x, 0.0, 1.0, xtol=0.0, max_iter=10)
+    # given enough iterations both stop at the pair of adjacent doubles
+    root = newton_root(slow, 0.0, 1.0, 0.5, rtol=0.0, max_iter=100)
+    assert abs(root - 1.0 / 3.0) <= math.ulp(1.0 / 3.0)
+    assert bisect_root(lambda x: 1.0 / 3.0 - x, 0.0, 1.0, xtol=0.0) == root
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +201,7 @@ def test_psi0_inverse_values(power3):
 
 @pytest.mark.parametrize("name", sorted(NEWTON_LAWS))
 def test_psi0_inverse_roundtrip(name):
-    params, _ = NEWTON_LAWS[name]
+    params = NEWTON_LAWS[name]
     law = wd.make_feedback(**params)
     cold = wd.make_feedback(**params, eps_clip=2e-16)  # an equal law with its own psi0 cache
     x_min = 1.0 / wd.eval_H_prime(law, law.r0**2)
