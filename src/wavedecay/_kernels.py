@@ -1,17 +1,27 @@
-"""The time step of the coupled wave system, and the damping law.
+"""The time step of the coupled wave system, the damping law, and the trace sampler.
 
 The scalar functions `_g` and `_ghat` below are the package's one
 definition of the growth law g and its odd saturated extension ghat;
 `feedback` evaluates g, H and g_sat through them, and `ghat_np` evaluates
-ghat on an array for `sim`'s start state and E1 and dissipation samples.
+ghat on an array for `sim`'s start state and its numpy `energy` and
+`dissipation_rate`.  Asked for the slope as well, they form g' from the
+pow, exp and log results of the value, so a Newton iterate of the node
+solve calls each of them once.
 
 `advance` is the package's one time step, with two implementations of one
 algorithm: `_step.c`, which runs, and its scalar reference in plain Python,
-`_ghat_prime`, `_solve_node` and `_advance_scalar`, one node at a time.
-`_step.c` translates the reference with the same floating-point operations
-in the same order.
+`_solve_node` and `_advance_scalar`, one node at a time.  `_step.c`
+translates the reference with the same floating-point operations in the
+same order.
 
-Which step runs.  The first call of `advance`, `ghat_np` or
+`sample` returns E, E1 and the dissipation rate of a state from one call of
+`_step.c`'s sampler, which `sim.run` takes at every sample.  Its reference is
+`sim.energy` and `sim.dissipation_rate` in numpy: the sampler adds the same
+products in `np.add.reduce`'s pairwise order, so it equals them bit for bit.
+Where the C step does not run, `sample` returns None and `sim` calls those
+two functions.
+
+Which step runs.  The first call of `advance`, `ghat_np`, `sample` or
 `active_backend`, never the import, builds `_step.c` with the system `cc`
 and loads it through ctypes.  Only where there is no `cc` on PATH, or the
 build or the load fails, does one `logging` warning give the reason and
@@ -26,12 +36,13 @@ compiler builds a new file.  Deleting that directory clears the cache.  When
 it cannot be written, the library is built in a temporary directory that is
 removed as soon as it is loaded.
 
-Bits.  The C step and law equal their scalar reference bit for bit:
+Bits.  The C step, law and sampler equal their reference bit for bit:
 Python's `**`, `math.exp` and `math.log` call the same C library functions,
 and the build uses -ffp-contract=off (no fused multiply-add) and no
 -ffast-math.  So a host writes the same trace bits with or without a
 compiler, every column following its C library's pow/exp/log, as
-test_backend_equivalence and test_ghat_np_matches_reference check.
+test_backend_equivalence, test_ghat_np_matches_reference and
+test_sampler_matches_numpy check.
 
 The update is a leapfrog step in which the velocity coupling and the
 damping act on the midpoint velocity (u_next - u_prev) / (2 dt).  That
@@ -60,51 +71,52 @@ import numpy as np
 _TINY = 1e-150  # below this the essential-singularity families are flushed to 0
 
 
-def _g(a, fam, p, q):
-    """g(a) for a > 0; fam is the index of the family in `feedback.FAMILIES`."""
+def _g(a, fam, p, q, slope=False):
+    """g(a) for a > 0; fam is the index of the family in `feedback.FAMILIES`.
+
+    With slope=True, the pair (g(a), g'(a)): the node solve's Newton iterate
+    takes both from one evaluation of pow, exp and log.
+    """
     if fam == 0:
-        return a
+        return (a, 1.0) if slope else a
     if fam == 1:
-        return a**p
+        v = a**p
+        return (v, p * (v / a)) if slope else v
     if fam == 2:
-        return 0.0 if a < _TINY else math.exp(-1.0 / (a * a))
+        if a < _TINY:
+            return (0.0, 0.0) if slope else 0.0
+        v = math.exp(-1.0 / (a * a))
+        return (v, v * 2.0 / (a * a) / a) if slope else v  # a^3 may underflow
     if fam == 3:
-        return a**p * math.log(1.0 / a) ** q
+        ap = a**p
+        ell = math.log(1.0 / a)
+        lq = ell**q
+        return (ap * lq, ap / a * (lq / ell) * (p * ell - q)) if slope else ap * lq
     if a >= 1.0:  # log(1/a)**p would be complex for a > 1
-        return 1.0
-    return math.exp(-math.log(1.0 / a) ** p)
+        return (1.0, 0.0) if slope else 1.0
+    ell = math.log(1.0 / a)
+    lp = ell**p
+    v = math.exp(-lp)
+    if not slope:
+        return v
+    return v, (0.0 if ell <= 0.0 else v * p * (lp / ell) / a)
 
 
-def _ghat(s, fam, p, q, s_sat, g_sat):
-    """Odd extension of g, continued linearly beyond s_sat."""
+def _ghat(s, fam, p, q, s_sat, g_sat, slope=False):
+    """Odd extension of g, continued linearly beyond s_sat; with slope=True,
+    the pair (ghat(s), ghat'(s)) as `_g` gives it."""
     if s == 0.0:
-        return 0.0
+        return (0.0, 1.0 if fam == 0 else 0.0) if slope else 0.0
     a = -s if s < 0.0 else s
     if a >= s_sat:
-        v = g_sat / s_sat * a
+        d = g_sat / s_sat
+        v = d * a
+    elif slope:
+        v, d = _g(a, fam, p, q, True)
     else:
         v = _g(a, fam, p, q)
-    return v if s > 0.0 else -v
-
-
-def _ghat_prime(s, fam, p, q, s_sat, g_sat):
-    a = -s if s < 0.0 else s
-    if a >= s_sat:
-        return g_sat / s_sat
-    if a == 0.0:
-        return 1.0 if fam == 0 else 0.0
-    if fam == 0:
-        return 1.0
-    if fam == 1:
-        return p * a ** (p - 1.0)
-    if fam == 2:
-        return 0.0 if a < _TINY else math.exp(-1.0 / (a * a)) * 2.0 / (a * a * a)
-    ell = math.log(1.0 / a)
-    if fam == 3:
-        return a ** (p - 1.0) * ell ** (q - 1.0) * (p * ell - q)
-    if ell <= 0.0:
-        return 0.0
-    return math.exp(-(ell**p)) * p * ell ** (p - 1.0) / a
+    v = v if s > 0.0 else -v
+    return (v, d) if slope else v
 
 
 def _solve_node(b, clin, k2, fam, p, q, s_sat, g_sat, tol, maxit):
@@ -124,7 +136,8 @@ def _solve_node(b, clin, k2, fam, p, q, s_sat, g_sat, tol, maxit):
     s = s_lin
     feps = 1e-14 * abs(b)
     for _ in range(maxit):
-        f = clin * s + k2 * _ghat(s, fam, p, q, s_sat, g_sat) - b
+        v, slope = _ghat(s, fam, p, q, s_sat, g_sat, True)
+        f = clin * s + k2 * v - b
         if abs(f) <= feps:
             return s
         if f > 0.0:
@@ -133,7 +146,7 @@ def _solve_node(b, clin, k2, fam, p, q, s_sat, g_sat, tol, maxit):
             lo = s
         if hi - lo <= tol * (1.0 + abs(s)):
             return 0.5 * (lo + hi)
-        d = clin + k2 * _ghat_prime(s, fam, p, q, s_sat, g_sat)
+        d = clin + k2 * slope
         sn = s - f / d
         if sn <= lo or sn >= hi or sn == s:
             sn = 0.5 * (lo + hi)
@@ -196,7 +209,7 @@ _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _BUILD_TIMEOUT = 120.0  # seconds allowed to each compiler call
 
 _lock = threading.Lock()
-_chosen = None  # (backend name, step, ghat), set by the first `_choose`
+_chosen = None  # (backend name, step, ghat, sampler or None), set by the first `_choose`
 
 
 class _BuildError(RuntimeError):
@@ -214,6 +227,15 @@ def advance(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, g_sat, 
     """
     step = (_chosen or _choose())[1]
     return step(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, g_sat, tol, maxit)
+
+
+def sample(up, uc, vp, vc, alpha, aa, dt, dx, fam, p, q, s_sat, g_sat):
+    """(E, E1, dissipation rate) of the state, as `sim.energy` and
+    `sim.dissipation_rate` give them, from one call of the C sampler; None
+    where the C step does not run, and those two functions are the sampler.
+    """
+    fn = (_chosen or _choose())[3]
+    return None if fn is None else fn(up, uc, vp, vc, alpha, aa, dt, dx, fam, p, q, s_sat, g_sat)
 
 
 def active_backend() -> str:
@@ -237,7 +259,7 @@ def _choose():
                 logging.getLogger(__name__).warning(
                     "wavedecay: the compiled time step is unavailable (%s); "
                     "running the much slower pure-Python reference step", exc)
-                _chosen = ("python", _advance_scalar, _ghat_scalar)
+                _chosen = ("python", _advance_scalar, _ghat_scalar, None)
     return _chosen
 
 
@@ -306,13 +328,16 @@ def _load_library():
 
 
 def _c_functions(lib):
-    """`advance` and `ghat_np` through the library's wavedecay_advance and wavedecay_ghat."""
-    fn, ghat_fn = lib.wavedecay_advance, lib.wavedecay_ghat
+    """`advance`, `ghat_np` and `sample` through the library's
+    wavedecay_advance, wavedecay_ghat and wavedecay_sample."""
+    fn, ghat_fn, sample_fn = lib.wavedecay_advance, lib.wavedecay_ghat, lib.wavedecay_sample
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    fn.restype, ghat_fn.restype = ctypes.c_int, None
+    fn.restype, ghat_fn.restype, sample_fn.restype = ctypes.c_int, None, ctypes.c_int
     fn.argtypes = (ptr, ptr, ptr, ptr, ptr, ptr, i64, f64, f64, i64, ctypes.c_int,
                    f64, f64, f64, f64, f64, i64, ctypes.POINTER(i64), ctypes.POINTER(f64))
     ghat_fn.argtypes = (ptr, ptr, i64, ctypes.c_int, f64, f64, f64, f64)
+    sample_fn.argtypes = (ptr, ptr, ptr, ptr, ptr, ptr, i64, f64, f64, ctypes.c_int,
+                          f64, f64, f64, f64, ctypes.POINTER(f64 * 3))
     byref = ctypes.byref
 
     def advance_c(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, g_sat, tol, maxit):
@@ -330,7 +355,15 @@ def _c_functions(lib):
         ghat_fn(s.ctypes.data, out.ctypes.data, s.size, fam, p, q, s_sat, g_sat)
         return out
 
-    return advance_c, ghat_c
+    def sample_c(up, uc, vp, vc, alpha, aa, dt, dx, fam, p, q, s_sat, g_sat):
+        n2 = uc.shape[0]
+        ptrs = [_address(a, n2) for a in (up, uc, vp, vc, alpha, aa)]
+        out = (f64 * 3)()
+        if sample_fn(*ptrs, n2, dt, dx, fam, p, q, s_sat, g_sat, out) < 0:
+            raise MemoryError("the compiled sampler could not allocate its scratch arrays")
+        return out[0], out[1], out[2]
+
+    return advance_c, ghat_c, sample_c
 
 
 def _address(a, n2):

@@ -1,10 +1,19 @@
-/* The compiled time step and damping law of wavedecay: a line-by-line C
- * translation of the scalar reference in _kernels.py (_g, _ghat, _ghat_prime,
- * _solve_node and _advance_scalar), with the same floating-point operations
- * in the same order.  _kernels builds it with -ffp-contract=off, so no
- * multiply-add is fused, and calls it through ctypes.  Python's `**`,
- * math.exp and math.log call the C library's pow, exp and log for the finite
- * positive arguments met here, so both equal their reference bit for bit.
+/* The compiled time step, damping law and trace sampler of wavedecay.
+ *
+ * The step and law are a line-by-line C translation of the scalar reference
+ * in _kernels.py (_g, _ghat, _solve_node and _advance_scalar), with the
+ * same floating-point operations in the same order.  A Newton iterate of
+ * the node solve calls pow, exp and log once: g and ghat return the slope
+ * g' beside the value, formed from the same libm results.  _kernels builds
+ * the file with -ffp-contract=off, so no multiply-add is fused, and calls it
+ * through ctypes.  Python's `**`, math.exp and math.log call the C
+ * library's pow, exp and log for the finite positive arguments met here, so
+ * both equal their reference bit for bit.
+ *
+ * The sampler, wavedecay_sample, forms sim.energy and sim.dissipation_rate
+ * of a state in one call.  Its sums add the same products in the order of
+ * numpy's np.add.reduce (dot below), so it equals that numpy reference bit
+ * for bit.
  */
 
 #include <math.h>
@@ -13,60 +22,80 @@
 
 #define TINY 1e-150 /* below this the essential-singularity families are flushed to 0 */
 
-static double g(double a, int fam, double p, double q)
+/* g(a) for a > 0; with slope not NULL, also g'(a) into *slope. */
+static double g(double a, int fam, double p, double q, double *slope)
 {
-    if (fam == 0)
+    double v, ell, ap, lp, lq;
+    if (fam == 0) {
+        if (slope)
+            *slope = 1.0;
         return a;
-    if (fam == 1)
-        return pow(a, p);
-    if (fam == 2)
-        return a < TINY ? 0.0 : exp(-1.0 / (a * a));
-    if (fam == 3)
-        return pow(a, p) * pow(log(1.0 / a), q);
-    if (a >= 1.0) /* log(1/a)**p would be complex for a > 1 */
+    }
+    if (fam == 1) {
+        v = pow(a, p);
+        if (slope)
+            *slope = p * (v / a);
+        return v;
+    }
+    if (fam == 2) {
+        if (a < TINY) {
+            if (slope)
+                *slope = 0.0;
+            return 0.0;
+        }
+        v = exp(-1.0 / (a * a));
+        if (slope)
+            *slope = v * 2.0 / (a * a) / a; /* a^3 may underflow */
+        return v;
+    }
+    if (fam == 3) {
+        ap = pow(a, p);
+        ell = log(1.0 / a);
+        lq = pow(ell, q);
+        if (slope)
+            *slope = ap / a * (lq / ell) * (p * ell - q);
+        return ap * lq;
+    }
+    if (a >= 1.0) { /* log(1/a)**p would be complex for a > 1 */
+        if (slope)
+            *slope = 0.0;
         return 1.0;
-    return exp(-pow(log(1.0 / a), p));
+    }
+    ell = log(1.0 / a);
+    lp = pow(ell, p);
+    v = exp(-lp);
+    if (slope)
+        *slope = ell <= 0.0 ? 0.0 : v * p * (lp / ell) / a;
+    return v;
 }
 
-static double ghat(double s, int fam, double p, double q, double s_sat, double g_sat)
+/* The odd extension of g, continued linearly beyond s_sat; with slope not
+ * NULL, also its derivative into *slope. */
+static double ghat(double s, int fam, double p, double q, double s_sat, double g_sat,
+                   double *slope)
 {
     double a, v;
-    if (s == 0.0)
+    if (s == 0.0) {
+        if (slope)
+            *slope = fam == 0 ? 1.0 : 0.0;
         return 0.0;
+    }
     a = s < 0.0 ? -s : s;
-    if (a >= s_sat)
+    if (a >= s_sat) {
+        if (slope)
+            *slope = g_sat / s_sat;
         v = g_sat / s_sat * a;
-    else
-        v = g(a, fam, p, q);
+    } else {
+        v = g(a, fam, p, q, slope);
+    }
     return s > 0.0 ? v : -v;
-}
-
-static double ghat_prime(double s, int fam, double p, double q, double s_sat, double g_sat)
-{
-    double a = s < 0.0 ? -s : s, ell;
-    if (a >= s_sat)
-        return g_sat / s_sat;
-    if (a == 0.0)
-        return fam == 0 ? 1.0 : 0.0;
-    if (fam == 0)
-        return 1.0;
-    if (fam == 1)
-        return p * pow(a, p - 1.0);
-    if (fam == 2)
-        return a < TINY ? 0.0 : exp(-1.0 / (a * a)) * 2.0 / (a * a * a);
-    ell = log(1.0 / a);
-    if (fam == 3)
-        return pow(a, p - 1.0) * pow(ell, q - 1.0) * (p * ell - q);
-    if (ell <= 0.0)
-        return 0.0;
-    return exp(-pow(ell, p)) * p * pow(ell, p - 1.0) / a;
 }
 
 /* Root of clin*s + k2*ghat(s) - b; NAN on non-convergence. */
 static double solve_node(double b, double clin, double k2, int fam, double p, double q,
                          double s_sat, double g_sat, double tol, int64_t maxit)
 {
-    double s_lin, lo, hi, s, feps, f, d, sn;
+    double s_lin, lo, hi, s, feps, f, d, sn, slope;
     int64_t it;
     if (b == 0.0)
         return 0.0;
@@ -81,7 +110,7 @@ static double solve_node(double b, double clin, double k2, int fam, double p, do
     s = s_lin;
     feps = 1e-14 * fabs(b);
     for (it = 0; it < maxit; it++) {
-        f = clin * s + k2 * ghat(s, fam, p, q, s_sat, g_sat) - b;
+        f = clin * s + k2 * ghat(s, fam, p, q, s_sat, g_sat, &slope) - b;
         if (fabs(f) <= feps)
             return s;
         if (f > 0.0)
@@ -90,7 +119,7 @@ static double solve_node(double b, double clin, double k2, int fam, double p, do
             lo = s;
         if (hi - lo <= tol * (1.0 + fabs(s)))
             return 0.5 * (lo + hi);
-        d = clin + k2 * ghat_prime(s, fam, p, q, s_sat, g_sat);
+        d = clin + k2 * slope;
         sn = s - f / d;
         if (sn <= lo || sn >= hi || sn == s) {
             sn = 0.5 * (lo + hi);
@@ -107,7 +136,7 @@ void wavedecay_ghat(const double *s, double *out, int64_t n, int fam, double p, 
                     double s_sat, double g_sat)
 {
     for (int64_t i = 0; i < n; i++)
-        out[i] = ghat(s[i], fam, p, q, s_sat, g_sat);
+        out[i] = ghat(s[i], fam, p, q, s_sat, g_sat, NULL);
 }
 
 /* _advance_scalar on arrays of length n2.  Returns 0 when every step is
@@ -172,5 +201,100 @@ int wavedecay_advance(double *up, double *uc, double *vp, double *vc,
     }
     free(un);
     free(vn);
+    return 0;
+}
+
+/* The sum of x[i] * y[i] over i < n in np.add.reduce(x * y)'s order:
+ * numpy's pairwise summation (blocks of at most 128 terms, each summed in
+ * 8 accumulators) added to the reduction's start value 0.0. */
+static double pairwise_dot(const double *x, const double *y, int64_t n)
+{
+    double r[8], res;
+    int64_t i, j, h;
+    if (n < 8) {
+        res = 0.0;
+        for (i = 0; i < n; i++)
+            res += x[i] * y[i];
+        return res;
+    }
+    if (n <= 128) {
+        for (j = 0; j < 8; j++)
+            r[j] = x[j] * y[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (j = 0; j < 8; j++)
+                r[j] += x[i + j] * y[i + j];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += x[i] * y[i];
+        return res;
+    }
+    h = n / 2;
+    h -= h % 8;
+    return pairwise_dot(x, y, h) + pairwise_dot(x + h, y + h, n - h);
+}
+
+static double dot(const double *x, const double *y, int64_t n)
+{
+    return 0.0 + pairwise_dot(x, y, n);
+}
+
+/* sim.energy and sim.dissipation_rate of the state (up, uc, vp, vc) of
+ * length n2: E into out[0], E1 into out[1], the dissipation rate into
+ * out[2], each formed with the same operations in the same order.  Returns
+ * 0, or -1 when scratch memory cannot be allocated (out is not written). */
+int wavedecay_sample(const double *up, const double *uc, const double *vp, const double *vc,
+                     const double *alpha, const double *aa, int64_t n2, double dt, double dx,
+                     int fam, double p, double q, double s_sat, double g_sat, double *out)
+{
+    int64_t m = n2 - 2, i;
+    double dx2 = dx * dx;
+    double *wu, *wv, *rho, *uh, *vh, *x, *y;
+    double kin, grad, sum;
+
+    wu = malloc(7 * (size_t)n2 * sizeof(double));
+    if (wu == NULL)
+        return -1;
+    wv = wu + n2;
+    rho = wv + n2;
+    uh = rho + n2;
+    vh = uh + n2;
+    x = vh + n2;
+    y = x + n2;
+    for (i = 0; i < n2; i++) {
+        wu[i] = (uc[i] - up[i]) / dt;
+        wv[i] = (vc[i] - vp[i]) / dt;
+        rho[i] = aa[i] * ghat(wu[i], fam, p, q, s_sat, g_sat, NULL);
+        uh[i] = 0.5 * (uc[i] + up[i]);
+        vh[i] = 0.5 * (vc[i] + vp[i]);
+    }
+    kin = 0.5 * dx * (dot(wu + 1, wu + 1, m) + dot(wv + 1, wv + 1, m));
+
+    for (i = 0; i < n2 - 1; i++) {
+        x[i] = (uc[i + 1] - uc[i]) / dx;
+        y[i] = (up[i + 1] - up[i]) / dx;
+    }
+    grad = dot(x, y, n2 - 1);
+    for (i = 0; i < n2 - 1; i++) {
+        x[i] = (vc[i + 1] - vc[i]) / dx;
+        y[i] = (vp[i + 1] - vp[i]) / dx;
+    }
+    grad = 0.5 * dx * (grad + dot(x, y, n2 - 1));
+    out[0] = kin + grad;
+
+    /* the accelerations, from the level averages uh and vh */
+    for (i = 1; i < n2 - 1; i++) {
+        x[i - 1] = (uh[i - 1] - 2.0 * uh[i] + uh[i + 1]) / dx2 - alpha[i] * wv[i] - rho[i];
+        y[i - 1] = (vh[i - 1] - 2.0 * vh[i] + vh[i + 1]) / dx2 + alpha[i] * wu[i];
+    }
+    sum = dot(x, x, m) + dot(y, y, m);
+    for (i = 0; i < n2 - 1; i++) {
+        x[i] = (wu[i + 1] - wu[i]) / dx;
+        y[i] = (wv[i + 1] - wv[i]) / dx;
+    }
+    sum = sum + dot(x, x, n2 - 1);
+    out[1] = 0.5 * dx * (sum + dot(y, y, n2 - 1));
+
+    out[2] = -dx * dot(wu + 1, rho + 1, m);
+    free(wu);
     return 0;
 }

@@ -637,12 +637,13 @@ def run_experiment(cfg: ExperimentConfig, write_files: bool = True) -> Experimen
     Produces <out>/<name>.trace.csv plus a plain-text report and a flat
     key=value report.  All outputs are deterministic functions of the config.
     """
-    trace = run(cfg.sim, meta={"config_digest": cfg.digest, "name": cfg.name})
+    digest = cfg.digest
+    trace = run(cfg.sim, meta={"config_digest": digest, "name": cfg.name})
     law = cfg.law
     e0 = trace.e0
     summary: dict[str, object] = {
         "name": cfg.name,
-        "config_digest": cfg.digest,
+        "config_digest": digest,
         "law": repr(law),
         "n": cfg.sim.n,
         "dt": float(trace.meta["dt"]),

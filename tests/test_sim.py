@@ -333,10 +333,140 @@ def test_ghat_np_matches_reference():
         assert _kernels.ghat_np(s, *args).tobytes() == ref.tobytes(), law
 
 
+def _closed_form_slope(s, fam, p, q, s_sat, g_sat):
+    """ghat'(s) by its closed form per family, the node solve's slope before
+    the solve formed it from the libm results of ghat's own value."""
+    a = abs(s)
+    if a >= s_sat:
+        return g_sat / s_sat
+    if a == 0.0:
+        return 1.0 if fam == 0 else 0.0
+    if fam == 0:
+        return 1.0
+    if fam == 1:
+        return p * a ** (p - 1.0)
+    if fam == 2:
+        return 0.0 if a < _kernels._TINY else math.exp(-1.0 / (a * a)) * 2.0 / (a * a * a)
+    ell = math.log(1.0 / a)
+    if fam == 3:
+        return a ** (p - 1.0) * ell ** (q - 1.0) * (p * ell - q)
+    if ell <= 0.0:
+        return 0.0
+    return math.exp(-(ell**p)) * p * ell ** (p - 1.0) / a
+
+
+def _assert_slope_matches_closed_form(s, args, g_value):
+    """The node solve's (ghat, ghat') at s against ghat and the closed form.
+
+    The slope is formed from the rounded value g, so besides its own few
+    roundings (8 ulps bound both formulas' error) it carries g's relative
+    rounding, which exceeds an ulp only where g is subnormal: up to
+    2^-1074 / g.  Where g underflows to 0 the slope is 0.
+    """
+    v, d = _kernels._ghat(s, *args, slope=True)
+    assert v == _kernels._ghat(s, *args) or math.isnan(g_value), s
+    try:
+        ref = _closed_form_slope(s, *args)
+    except ZeroDivisionError:  # exp_inv_square's 0 / a^3 where a^3 underflows
+        assert v == d == 0.0, s
+        return
+    if math.isnan(ref):  # power_log below 1/DBL_MAX, where 1/a overflows
+        assert math.isnan(d), s
+        return
+    if g_value == 0.0:
+        assert d == 0.0 or d == ref, s
+        return
+    tol = 8.0 * math.ulp(ref) + 2.0**-1074 / g_value * abs(ref)
+    assert abs(d - ref) <= tol, (s, d, ref)
+
+
+def test_node_solve_slope_matches_closed_form():
+    """ghat' as the node solve forms it, from the pow/exp/log results of
+    ghat, agrees with the closed form per family within a few ulps: on a
+    seeded grid and at 0, TINY, s_sat +- 1 ulp, near 1 for the log families
+    and at subnormal speeds, on both signs."""
+    rng = np.random.default_rng(18)
+    laws = [wd.make_feedback("power", p=p, r0=1.0) for p in (1.0, 1.5, 3.0, 5.0)] + [
+        wd.make_feedback("linear"),
+        wd.make_feedback("exp_inv_square"),
+        wd.make_feedback("power_log", p=3.0, q=1.5),
+        wd.make_feedback("power_log", p=4.0, q=3.0),
+        wd.make_feedback("sub_exponential", p=2.5),
+        wd.make_feedback("sub_exponential", p=3.0, r0=1.0),
+    ]
+    tiny = _kernels._TINY
+    for law in laws:
+        args = (law.code, law.p, law.q, law.s_sat, law.g_sat)
+        edges = [0.0, tiny, math.nextafter(tiny, 0.0), math.nextafter(tiny, 1.0),
+                 law.s_sat, math.nextafter(law.s_sat, 0.0), math.nextafter(law.s_sat, 2.0),
+                 5e-324, 1e-310, 2.2250738585072014e-308, 1e-200, 1e-100]
+        grid = np.concatenate([10.0 ** rng.uniform(-8.0, 0.5, 2000), rng.uniform(0.0, 2.0, 2000)])
+        for a in edges + grid.tolist():
+            g_value = _kernels._g(a, law.code, law.p, law.q) if 0.0 < a < law.s_sat else 1.0
+            for s in (a, -a):
+                _assert_slope_matches_closed_form(s, args, g_value)
+        if law.family in ("power_log", "sub_exponential"):  # g near 1, where s_sat may cut ghat off
+            for a in (1.0 - 2.0**-53, 1.0 - 2.0**-50, 1.0 - 1e-9, 0.999):
+                _, d = _kernels._g(a, law.code, law.p, law.q, slope=True)
+                ref = _closed_form_slope(a, law.code, law.p, law.q, s_sat=2.0, g_sat=1.0)
+                assert abs(d - ref) <= 8.0 * math.ulp(ref), (law, a, d, ref)
+
+
+SAMPLER_N = (3, 7, 8, 9, 126, 128, 129, 130, 399, 1000)
+
+
+def _sampler_states():
+    """(name, state) of every family, with damping and coupling, undamped
+    (a = 0) and uncoupled (alpha = 0), on smooth fields and start data and
+    on rough fields with seeded random levels whose speeds cross s_sat, at
+    interior lengths that reach each branch of numpy's pairwise sum."""
+    rng = np.random.default_rng(18)
+    laws = [wd.make_feedback("linear"), wd.make_feedback("power", p=3.0, r0=1.0),
+            wd.make_feedback("exp_inv_square"), wd.make_feedback("power_log", p=3.0, q=2.0),
+            wd.make_feedback("sub_exponential", p=2.5)]
+    for law in laws:
+        for n in SAMPLER_N:
+            smooth = smooth_cfg(law, n=n)
+            rough = dataclasses.replace(
+                smooth,
+                alpha_field=wd.CoefficientField("indicator", (0.4, 0.9), 0.2),
+                a_field=wd.CoefficientField("indicator", (0.2, 0.6), 1.0),
+            )
+            for data, cfg in (("smooth", smooth), ("rough", rough)):
+                for fields, drop in (("damped+coupled", {}), ("undamped", {"a_field": None}),
+                                     ("uncoupled", {"alpha_field": None})):
+                    st = wd.init_state(dataclasses.replace(cfg, **drop))
+                    if data == "rough":
+                        for cur, prev in (("u_curr", "u_prev"), ("v_curr", "v_prev")):
+                            level = getattr(st, cur)
+                            level[1:-1] = rng.standard_normal(n)
+                            getattr(st, prev)[1:-1] = level[1:-1] - st.dt * rng.uniform(-3.0, 3.0, n)
+                    yield f"{law.family} n={n} {data} {fields}", st
+
+
+@needs_cc
+def test_sampler_matches_numpy():
+    """The C sampler's E, E1 and dissipation rate equal `energy()` and
+    `dissipation_rate()` bit for bit."""
+    assert _compiled_step() is not None
+    for name, st in _sampler_states():
+        law = st.law
+        got = _kernels.sample(st.u_prev, st.u_curr, st.v_prev, st.v_curr, st.alpha, st.a,
+                              st.dt, st.dx, law.code, law.p, law.q, law.s_sat, law.g_sat)
+        ref = (*wd.energy(st), wd.dissipation_rate(st))
+        assert np.array(got).tobytes() == np.array(ref).tobytes(), (name, got, ref)
+
+
 def _state_digest(st):
     """sha256 of the four state arrays' bytes, to compare states across interpreters."""
     names = ("u_prev", "u_curr", "v_prev", "v_curr")
     return hashlib.sha256(b"".join(getattr(st, name).tobytes() for name in names)).hexdigest()
+
+
+def _trace_digest(cfg):
+    """sha256 of the CSV of cfg's run but for its backend= line, which names the step."""
+    lines = wd.run(cfg).csv_text().splitlines(keepends=True)
+    return hashlib.sha256("".join(x for x in lines if not x.startswith("# backend=")).encode()).hexdigest()
 
 
 STEP_PROBE = textwrap.dedent(
@@ -353,7 +483,7 @@ STEP_PROBE = textwrap.dedent(
     st1, rep1 = test_sim._run_kernel(_kernels.advance, cfg, 40)
     st2, rep2 = test_sim._run_kernel(_kernels._advance_scalar, cfg, 40)
     print(_kernels.active_backend(), rep1 == rep2 and test_sim._same_state(st1, st2),
-          test_sim._state_digest(st1))
+          test_sim._state_digest(st1), test_sim._trace_digest(cfg))
     """
 )
 
@@ -361,7 +491,7 @@ STEP_PROBE = textwrap.dedent(
 def _step_probe(**env):
     """A fresh interpreter that runs a short damped run with `advance` and
     prints the step that ran, whether it matched the reference step's state,
-    and that state's digest."""
+    that state's digest, and the digest of the config's `run()` trace."""
     tests = os.path.dirname(os.path.abspath(__file__))
     return subprocess.Popen(
         [sys.executable, "-c", STEP_PROBE, os.path.join(os.path.dirname(tests), "src"), tests],
@@ -378,7 +508,9 @@ def _probe_result(probe):
 def test_python_step_runs_without_a_compiler(tmp_path, damped_cfg):
     """With no cc on PATH, a short damped run falls back to the Python
     reference step, with one warning that says why, and writes nothing to
-    the cache.  Where cc exists, its state equals the C step's bit for bit."""
+    the cache.  Where cc exists, its state equals the C step's bit for bit,
+    and its `run()` trace, sampled by numpy, has the bytes of the trace the
+    C step and sampler write."""
     empty_bin, cache = tmp_path / "bin", tmp_path / "cache"
     empty_bin.mkdir()
     cache.mkdir()
@@ -390,6 +522,7 @@ def test_python_step_runs_without_a_compiler(tmp_path, damped_cfg):
     compiled = _compiled_step()
     if compiled is not None:
         assert out[2] == _state_digest(_run_kernel(compiled, damped_cfg, 40)[0])
+        assert out[3] == _trace_digest(damped_cfg)
 
 
 @needs_cc
