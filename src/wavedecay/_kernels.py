@@ -89,6 +89,8 @@ def _g(a, fam, p, q, slope=False):
         return (v, v * 2.0 / (a * a) / a) if slope else v  # a^3 may underflow
     if fam == 3:
         ap = a**p
+        if ap == 0.0:  # also where 1/a overflows and ell**q * 0 would be nan
+            return (0.0, 0.0) if slope else 0.0
         ell = math.log(1.0 / a)
         lq = ell**q
         return (ap * lq, ap / a * (lq / ell) * (p * ell - q)) if slope else ap * lq
@@ -99,7 +101,8 @@ def _g(a, fam, p, q, slope=False):
     v = math.exp(-lp)
     if not slope:
         return v
-    return v, (0.0 if ell <= 0.0 else v * p * (lp / ell) / a)
+    # 0 also where v underflows: below 1/DBL_MAX, lp / ell is inf / inf
+    return v, (0.0 if ell <= 0.0 or v == 0.0 else v * p * (lp / ell) / a)
 
 
 def _ghat(s, fam, p, q, s_sat, g_sat, slope=False):

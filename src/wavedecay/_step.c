@@ -50,6 +50,11 @@ static double g(double a, int fam, double p, double q, double *slope)
     }
     if (fam == 3) {
         ap = pow(a, p);
+        if (ap == 0.0) { /* also where 1/a overflows and pow(ell, q) * 0 would be nan */
+            if (slope)
+                *slope = 0.0;
+            return 0.0;
+        }
         ell = log(1.0 / a);
         lq = pow(ell, q);
         if (slope)
@@ -64,8 +69,9 @@ static double g(double a, int fam, double p, double q, double *slope)
     ell = log(1.0 / a);
     lp = pow(ell, p);
     v = exp(-lp);
+    /* 0 also where v underflows: below 1/DBL_MAX, lp / ell is inf / inf */
     if (slope)
-        *slope = ell <= 0.0 ? 0.0 : v * p * (lp / ell) / a;
+        *slope = ell <= 0.0 || v == 0.0 ? 0.0 : v * p * (lp / ell) / a;
     return v;
 }
 

@@ -39,7 +39,7 @@ from .harness import (
 from .numutil import QuadratureError, RootError, log_midpoints
 from .odecmp import ComparisonError, K_inverse, solve_comparison
 from .sim import EnergyTrace, SimConfig, SimError, run
-from .transforms import DecayEnvelope, TransformError, envelope_value, eval_L
+from .transforms import DecayEnvelope, TransformError, envelope_value, eval_L, upper_kind
 
 PASS, FAIL, CONFIG_ERR = 0, 1, 2
 
@@ -81,7 +81,7 @@ def _cmd_calc(args) -> int:
         if not args.grid and not args.trace:
             return PASS
 
-    kind = args.kind or (cfg.envelope.kind if cfg.envelope.kind != "auto" else "simplified")
+    kind = args.kind or upper_kind(law, cfg.envelope.kind)
     if args.trace:
         trace = _load_trace(args.trace)
         window = default_fit_window(trace.t, cfg.fit.window)

@@ -36,6 +36,7 @@ from .transforms import (
     envelope_value,
     hprime_inv,
     optimal_weight,
+    upper_kind,
     weight_psi_r,
 )
 
@@ -384,7 +385,8 @@ def compare_to_envelope(
     max_points = GENERAL_ENVELOPE_POINTS if envelope.kind == "general" else None
     ts, es = _window_samples(t, E, lo * (1.0 - 1e-12), max_points)
     env = np.array([envelope_value(envelope, float(tv)) for tv in ts])
-    ratios = es / env
+    with np.errstate(divide="ignore"):  # E / 0 = inf: an envelope that underflows
+        ratios = es / env
     margins = (float(np.min(ratios)), float(np.max(ratios)))
     if envelope.kind == "lower":
         passed = margins[0] >= LOWER_MARGIN_SLACK
@@ -450,8 +452,7 @@ def calibrate_upper(
     that rises above 2 E(0)), raises HarnessError.  A linear-like law raises
     ClassificationError.
     """
-    if kind == "auto":
-        kind = "simplified" if _away_from_linear(law) else "general"
+    kind = upper_kind(law, kind)
     if kind not in ("general", "simplified"):
         raise HarnessError(f"upper envelope kind must be general or simplified, got {kind!r}")
     _PSI0_CACHE.pop(law, None)
@@ -520,6 +521,10 @@ def calibrate_lower(
     ts, es = (a.tolist() for a in _window_samples(trace.t, trace.E, t_min))
     # each sample's (H')^{-1}(1/(t - T0)), as odecmp.lower_envelope forms it
     xs = [hprime_inv(law, min(1.0 / (tv - T0), c0)) for tv in ts]
+    if not any(xs):
+        raise HarnessError(
+            "lower-envelope calibration failed: (H')^-1(1/(t - T0)) underflows to 0 at every sample"
+        )
     # largest constant keeping the envelope at or below every sample
     gc = max(x / math.sqrt(ev) for x, ev in zip(xs, es))
     env = DecayEnvelope(
@@ -531,7 +536,9 @@ def calibrate_lower(
         T1=max(T1, ts[0] - T0),
     )
     scale = env.gamma_s * env.C_s
-    ratios = [ev / (x / scale) ** 2 for x, ev in zip(xs, es)]
+    # E / 0 = inf where the envelope underflows, as compare_to_envelope forms it
+    bounds = [(x / scale) ** 2 for x in xs]
+    ratios = [ev / b if b > 0.0 else math.inf for b, ev in zip(bounds, es)]
     env.extras["t_calibration"] = ts[0]
     env.extras["margins"] = (min(ratios), max(ratios))
     return env

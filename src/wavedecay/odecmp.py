@@ -8,8 +8,8 @@ and H(z)/z -> 0, keeping the log-form right-hand side smooth.
 
 scipy is imported inside `solve_comparison`, the one function that needs
 it, so importing this module (and the package) does not load scipy; the
-lower envelope, the K integral and the screening use only numpy and
-`numutil`.
+lower envelope and the K integral use only numpy and `numutil`, and the
+growth screening integrates nothing (see `hfl_screen`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .feedback import FeedbackLaw, deepest_samples, eval_H, eval_H_prime, lambda_H
 from .numutil import adaptive_simpson, bisect_root
-from .transforms import DecayEnvelope, TransformError, _c0, hprime_inv
+from .transforms import DecayEnvelope, TransformError, _away_from_linear, _c0, hprime_inv
 
 
 class ComparisonError(RuntimeError):
@@ -144,34 +144,24 @@ def K_inverse(law: FeedbackLaw, value: float, z0: float) -> float:
 
 @lru_cache(maxsize=None)
 def hfl_screen(law: FeedbackLaw) -> bool:
-    """Numerical screening of the lower-bound growth hypothesis.
+    """Screening of the lower-bound growth hypothesis: Lambda stays inside
+    (0, 1) near 0, or phi(x) = (H(2x)/(2x)) int_x^{r0^2/2} dy/H(y) stays
+    away from 0 there.
 
-    Accepts laws whose Lambda stays inside (0, 1) near 0, or whose
-    (H(mu x)/(mu x)) * int_x^{z1} dy/H(y) stays bounded away from 0 (checked
-    with mu = 2, z1 = r0^2/2 on the deepest samples where H is resolvable).
-    Linear-like laws (limsup Lambda ~ 1) are rejected.
+    A law away from linear growth (the upper envelopes' test,
+    transforms._away_from_linear) passes when the least Lambda over
+    `deepest_samples` exceeds 1e-3.  Otherwise the integral alternative
+    decides, with no quadrature: for H increasing and 2x <= r0^2/2,
+    1/H >= 1/H(2x) on [x, 2x], so phi(x) >= (H(2x)/(2x)) x/H(2x) = 1/2 at
+    every sample point r0^2/4, r0^2/8, ... above eps_clip where H is
+    resolvable (> 1e-280).  The first point decides whether there is one.
     """
-    r2 = law.r0**2
-    lams = [lambda_H(law, x) for x in deepest_samples(law)]
-    limsup_est = max(lams)
-    liminf_est = min(lams)
-    if limsup_est >= 1.0 - 1e-9:
+    if not _away_from_linear(law):
         return False
-    if liminf_est > 1e-3:
+    if min(lambda_H(law, x) for x in deepest_samples(law)) > 1e-3:
         return True
-    # ambiguous liminf: evaluate the integral alternative on a safe range
-    mu = 2.0
-    z1 = r2 / 2.0
-    vals = []
-    x = z1 / 2.0
-    while x > law.eps_clip and len(vals) < 24:
-        if eval_H(law, x) > 1e-280 and mu * x <= r2:
-            phi = _H_over_z(law, mu * x) * K_integral(law, x, z1)
-            vals.append(phi)
-        x *= 0.5
-    if not vals:
-        return False
-    return min(vals[-5:]) > 0.0
+    x = law.r0**2 / 4.0
+    return law.eps_clip < x and eval_H(law, x) > 1e-280
 
 
 def lower_envelope(env: DecayEnvelope, t: float) -> float:

@@ -66,6 +66,15 @@ def _away_from_linear(law: FeedbackLaw) -> bool:
     return lambda_limit(law) < 1.0 - 1e-6
 
 
+def upper_kind(law: FeedbackLaw, kind: str) -> str:
+    """The upper envelope kind that `kind` names for law: 'auto' is the
+    simplified envelope for a law away from linear growth, else the general
+    one; any other kind is returned as given."""
+    if kind == "auto":
+        return "simplified" if _away_from_linear(law) else "general"
+    return kind
+
+
 def require_away_from_linear(law: FeedbackLaw) -> None:
     if not _away_from_linear(law):
         raise ClassificationError(
@@ -148,8 +157,8 @@ def eval_L(law: FeedbackLaw, y: float) -> float:
 
 @lru_cache(maxsize=None)
 def _L_edge(law: FeedbackLaw) -> float:
-    """L(H'(r0^2)) = r0^2 (1 - Lambda(r0^2)), computed as inverse_L's iteration
-    computes it, so that every z below it is bracketed there."""
+    """L(H'(r0^2)) = r0^2 (1 - Lambda(r0^2)), the largest z whose root lies in
+    inverse_L's bracket."""
     r2 = law.r0**2
     return r2 * (1.0 - lambda_H(law, r2))
 
@@ -160,9 +169,12 @@ def inverse_L(law: FeedbackLaw, z: float) -> float:
     Beyond H'(r0^2), L(y) = r0^2 - H(r0^2)/y is inverted in closed form (this
     covers all z > 0 for the linear law, where L(H'(r0^2)) = 0).  Below it,
     L(H'(x)) = x (1 - Lambda(x)) rises with x, with slope H H''/H'^2 =
-    Lambda x H''/H', so x is found by safeguarded Newton in [0, r0^2] to
-    1e-12 relative and y = H'(x): y keeps its relative precision even where
-    H' is tiny (exp_inv_square at moderate z).
+    Lambda x H''/H'.  As in hprime_inv, x = e^w: safeguarded Newton finds
+    the root of log(x (1 - Lambda)) - log z, slope Lambda x H''/(H' (1 -
+    Lambda)), from w = log r0^2 to 1e-12 in w (1e-12 relative in x) on
+    hprime_inv's bracket, and an iterate where H' underflows is a bisection
+    step.  y = H'(x) keeps its relative precision where H' is tiny
+    (exp_inv_square at moderate z), and is 0 where H' underflows.
     """
     r2 = law.r0**2
     if z < 0.0 or z >= r2:
@@ -171,14 +183,21 @@ def inverse_L(law: FeedbackLaw, z: float) -> float:
         return 0.0
     if z >= _L_edge(law):
         return _H_edge(law) / (r2 - z)
+    log_z = math.log(z)
 
-    def gap(x: float) -> tuple[float, float]:
-        lam = lambda_H(law, x)
+    def log_gap(w: float) -> tuple[float, float]:
+        x = math.exp(w)
+        lam = lambda_H(law, x) if x > 0.0 else 0.0
+        L = x * (1.0 - lam)
+        if L <= 0.0:
+            return -math.inf, math.nan
         hp = eval_H_prime(law, x)
-        slope = lam * x * _eval_H_second(law, x) / hp if hp > 0.0 else math.nan
-        return x * (1.0 - lam) - z, slope
+        slope = lam * x * _eval_H_second(law, x) / (hp * (1.0 - lam)) if hp > 0.0 else math.nan
+        return math.log(L) - log_z, slope
 
-    return eval_H_prime(law, newton_root(gap, 0.0, r2, r2, rtol=1e-12))
+    w_edge = math.log(r2)
+    x = math.exp(newton_root(log_gap, _LOG_X_FLOOR, w_edge, w_edge, rtol=0.0, xtol=1e-12))
+    return eval_H_prime(law, x)
 
 
 # Cached cumulative values of the psi0 integral, per law: sorted xs with
@@ -291,6 +310,7 @@ class DecayEnvelope:
 
 def envelope_general(env: DecayEnvelope, t: float) -> float:
     """2 beta L(1 / psi0^{-1}(t/M)) for t >= M / H'(r0^2)."""
+    require_away_from_linear(env.law)
     t_min = env.M / _c0(env.law)
     if t < t_min * (1.0 - 1e-12):
         raise TransformError(f"general envelope domain starts at {t_min}, got {t}")

@@ -74,6 +74,17 @@ def test_simulate_full_pipeline(cfg_path, tmp_path, capsys):
     assert "report" in out
 
 
+@pytest.mark.parametrize("p", ["1.001", "1.01"])
+def test_simulate_full_near_linear_power(tmp_path, p, capsys):
+    # (H')^-1 underflows at every lower-calibration sample (1.001) or at most
+    # of them (1.01): the run writes its report and exits, with no traceback
+    path = tmp_path / "near.ini"
+    text = CONFIG.format(out=tmp_path / "out").replace("p = 3.0", f"p = {p}")
+    path.write_text(text.replace("n = 99", "n = 49").replace("t_final = 60", "t_final = 200"))
+    assert main(["simulate", "--config", str(path), "--full"]) in (0, 1)
+    assert "report" in capsys.readouterr().out
+
+
 def test_fit_subcommand(cfg_path, tmp_path, capsys):
     main(["simulate", "--config", cfg_path, "--full"])
     trace = capsys.readouterr().out.splitlines()[0].split()[-1]

@@ -452,6 +452,33 @@ def test_run_experiment_linear(tmp_path):
     assert s["lower_envelope"] == wd.harness.LOWER_UNSCREENED
 
 
+@pytest.mark.parametrize("p", [1.0000001, 1.001, 1.01])
+def test_lower_envelope_of_near_linear_power_laws(tmp_path, p):
+    """p = 1 + 1e-7 is linear-like by the test both envelopes apply, so the
+    lower envelope is not screened in.  Above that, (H')^-1(1/(t - T0)) =
+    (2/((p + 1)(t - T0)))^(2/(p - 1)) underflows to 0 at the lower
+    calibration's samples of a run to t = 200: at all of them for
+    p = 1.001, at most of them for p = 1.01."""
+    text = P3_CONFIG.format(out=tmp_path).replace("p = 3.0", f"p = {p!r}")
+    text = text.replace("n = 99", "n = 49").replace("t_final = 60", "t_final = 200")
+    cfg = wd.parse_config_text(text.replace("stride = 40", "stride = 60"))
+    s = wd.run_experiment(cfg, write_files=False).summary
+    if p == 1.0000001:
+        assert "linear-like" in s["upper_envelope"]
+        assert s["lower_envelope"] == wd.harness.LOWER_UNSCREENED
+        return
+    if p == 1.001:
+        assert s["lower_envelope"].startswith("skipped: lower-envelope calibration failed")
+        return
+    assert s["lower_pass"] and s["lower_margin_max"] == math.inf
+    # the underflowed samples' ratios are E / 0 = inf, as compare_to_envelope forms them
+    trace = wd.run(cfg.sim, meta={})
+    window = wd.harness.default_fit_window(trace.t, cfg.fit.window)
+    env = wd.calibrate_lower(trace, cfg.law, window=window)
+    rep = wd.compare_to_envelope(trace, env)
+    assert env.extras["margins"] == rep.envelope_margins == (s["lower_margin_min"], math.inf)
+
+
 def test_run_experiment_undamped(tmp_path):
     cfg = wd.parse_config_text(UNDAMPED_CONFIG.format(out=tmp_path))
     res = wd.run_experiment(cfg)

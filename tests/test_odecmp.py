@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import wavedecay as wd
+from wavedecay import odecmp
+from wavedecay.feedback import LawError, deepest_samples
 from wavedecay.odecmp import ComparisonError
-from wavedecay.transforms import TransformError
+from wavedecay.transforms import TransformError, upper_kind
 
 
 def test_comparison_matches_analytic(power3):
@@ -107,6 +109,68 @@ def test_growth_screening():
     assert wd.hfl_screen(wd.make_feedback("exp_inv_square"))
     assert wd.hfl_screen(wd.make_feedback("sub_exponential", p=3.0))
     assert not wd.hfl_screen(wd.make_feedback("linear"))
+
+
+def _integral_screen(law):
+    """The growth screening with its integral test run: phi(x) =
+    (H(2x)/(2x)) int_x^{r0^2/2} dy/H(y) by quadrature at up to 24 points
+    r0^2/4, r0^2/8, ... above eps_clip where H(x) > 1e-280, behind its own
+    near-linear threshold 1 - 1e-9.  hfl_screen's reference."""
+    lams = [wd.lambda_H(law, x) for x in deepest_samples(law)]
+    if max(lams) >= 1.0 - 1e-9:
+        return False
+    if min(lams) > 1e-3:
+        return True
+    r2 = law.r0**2
+    vals = []
+    x = r2 / 4.0
+    while x > law.eps_clip and len(vals) < 24:
+        if wd.eval_H(law, x) > 1e-280:
+            vals.append(odecmp._H_over_z(law, 2.0 * x) * wd.K_integral(law, x, r2 / 2.0))
+        x *= 0.5
+    return bool(vals) and min(vals[-5:]) > 0.0
+
+
+def test_growth_screening_matches_integral_test():
+    """hfl_screen decides as the integral test does on every family, without
+    integrating, except for power laws with 1 + 2e-9 < p <= 1 + 2e-6: linear-
+    like to the upper envelopes, they now skip the lower one as well.  A law
+    that passes the screening is one the upper envelopes take as away from
+    linear."""
+    params = [("linear", None, None), ("exp_inv_square", None, None)]
+    params += [("power", p, None) for p in (1.0, 1.0 + 1e-9, 1.0 + 1e-8, 1.0 + 1e-7,
+                                            1.0 + 1e-6, 1.0 + 1e-5, 1.5, 3.0, 5.0)]
+    params += [("power_log", p, q) for p, q in ((2.5, 1.5), (3.0, 2.0), (4.0, 3.0))]
+    params += [("sub_exponential", p, None) for p in (2.5, 3.0, 8.0)]
+    checked = band = 0
+    for family, p, q in params:
+        for r0 in (None, 1.0, 0.3, 0.05, 1e-3):
+            # 1e-3 >= r0^2/4 at r0 = 0.05, where exp_inv_square's H underflows
+            for eps_clip in (1e-16, 1e-8, 1e-4, 1e-3):
+                try:
+                    law = wd.make_feedback(family, p=p, q=q, r0=r0, eps_clip=eps_clip)
+                except LawError:
+                    continue
+                checked += 1
+                case = (family, p, q, r0, eps_clip)
+                if family == "power" and 1.0 + 2e-9 < p <= 1.0 + 2e-6:
+                    band += 1
+                    assert _integral_screen(law) and not wd.hfl_screen(law), case
+                else:
+                    assert wd.hfl_screen(law) == _integral_screen(law), case
+                assert not wd.hfl_screen(law) or upper_kind(law, "auto") == "simplified", case
+    assert checked > 200 and band > 0
+
+
+def test_growth_screening_integrates_nothing(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("hfl_screen ran a quadrature")
+
+    monkeypatch.setattr(odecmp, "adaptive_simpson", fail)
+    monkeypatch.setattr(odecmp, "K_integral", fail)
+    # an eps_clip no other test uses, so the screening's cache is cold
+    assert wd.hfl_screen(wd.make_feedback("exp_inv_square", eps_clip=1.2345e-16))
+    assert wd.hfl_screen(wd.make_feedback("sub_exponential", p=8.0, eps_clip=1.2345e-16))
 
 
 def test_lower_envelope_rejects_linear(linear_law):

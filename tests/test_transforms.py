@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavedecay as wd
+from wavedecay import transforms
 from wavedecay.numutil import RootError, bisect_root, newton_root
 from wavedecay.transforms import ClassificationError, TransformError
 
@@ -136,6 +138,26 @@ def test_hprime_inv_against_bisection(name):
         assert x / ref == pytest.approx(1.0, rel=1e-11)
     assert wd.hprime_inv(law, c0) == r2
     assert wd.hprime_inv(law, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(NEWTON_LAWS) + ["power"])
+def test_inverse_L_roundtrip_to_tiny_z(name):
+    """L(inverse_L(z)) = z to 1e-12 relative for z in tenths of a decade
+    from L(H'(r0^2)) down to 1e-100, wherever y = inverse_L(z) and the
+    conjugate y z that eval_L forms are normal doubles.  Below that y
+    underflows (exp_inv_square, sub_exponential) and comes back as 0 or a
+    subnormal, not as a RootError."""
+    law = wd.make_feedback(**NEWTON_LAWS.get(name, dict(family="power", p=3.0, r0=1.0)))
+    z_edge = transforms._L_edge(law)
+    zs = [z_edge * 10.0 ** (-k / 10) for k in range(1, 1010)]
+    normal = 0
+    for z in [z for z in zs if z >= 1e-100]:
+        y = wd.inverse_L(law, z)
+        if y * z < sys.float_info.min:  # y z <= y, so y is normal too
+            continue
+        normal += 1
+        assert wd.eval_L(law, y) / z == pytest.approx(1.0, rel=1e-12, abs=0.0), (z, y)
+    assert normal >= 10
 
 
 def test_root_solve_out_of_iterations_raises():
