@@ -1,27 +1,24 @@
-"""The time step of the coupled wave system, the damping law, and the trace sampler.
+"""The run loop of the coupled wave system, the damping law, and the trace sampler.
 
 The scalar functions `_g` and `_ghat` below are the package's one
 definition of the growth law g and its odd saturated extension ghat;
 `feedback` evaluates g, H and g_sat through them, and `ghat_np` evaluates
-ghat on an array for `sim`'s start state and its numpy `energy` and
-`dissipation_rate`.  Asked for the slope as well, they form g' from the
-pow, exp and log results of the value, so a Newton iterate of the node
-solve calls each of them once.
+ghat on an array for `sim`'s start state and the numpy sampler
+`_sample_np`.  Asked for the slope as well, they form g' from the pow, exp
+and log results of the value, so a Newton iterate of the node solve calls
+each of them once.
 
-`advance` is the package's one time step, with two implementations of one
-algorithm: `_step.c`, which runs, and its scalar reference in plain Python,
-`_solve_node` and `_advance_scalar`, one node at a time.  `_step.c`
-translates the reference with the same floating-point operations in the
-same order.
+`advance` is the package's one entry to the time step, and one call runs a
+whole trace: given a sample buffer, it samples the state, steps in chunks
+of `stride`, samples (E, E1, dissipation rate) after each chunk and stops
+at the energy floor.  It has two implementations of one algorithm:
+`_step.c`, which runs, and its reference in Python, `_solve_node` and
+`_advance_scalar` stepping one node at a time and `_sample_np` sampling in
+numpy.  `_step.c` translates the reference with the same floating-point
+operations in the same order, and its sampler adds the same products in
+`np.add.reduce`'s pairwise order.
 
-`sample` returns E, E1 and the dissipation rate of a state from one call of
-`_step.c`'s sampler, which `sim.run` takes at every sample.  Its reference is
-`sim.energy` and `sim.dissipation_rate` in numpy: the sampler adds the same
-products in `np.add.reduce`'s pairwise order, so it equals them bit for bit.
-Where the C step does not run, `sample` returns None and `sim` calls those
-two functions.
-
-Which step runs.  The first call of `advance`, `ghat_np`, `sample` or
+Which step runs.  The first call of `advance`, `ghat_np` or
 `active_backend`, never the import, builds `_step.c` with the system `cc`
 and loads it through ctypes.  Only where there is no `cc` on PATH, or the
 build or the load fails, does one `logging` warning give the reason and
@@ -159,10 +156,11 @@ def _solve_node(b, clin, k2, fam, p, q, s_sat, g_sat, tol, maxit):
     return math.nan
 
 
-def _advance_scalar(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, g_sat, tol, maxit):
-    """The scalar reference of `advance`, one node at a time: the source
-    `_step.c` translates, which the tests compare the C step against, and
-    the step `advance` runs where the C step cannot be built.
+def _advance_scalar(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, g_sat, tol, maxit,
+                    stride, samples, floor_factor):
+    """The reference of `advance`, one node at a time: the source `_step.c`
+    translates, which the tests compare the C loop against, and the loop
+    `advance` runs where the C step cannot be built.
     """
     n2 = uc.shape[0]
     inv_dx2 = 1.0 / (dx * dx)
@@ -171,7 +169,13 @@ def _advance_scalar(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat,
     half_dt3 = 0.5 * dt2 * dt
     un = np.zeros(n2)
     vn = np.zeros(n2)
-    for _ in range(nsteps):
+    law = (fam, p, q, s_sat, g_sat)
+    if samples is not None:
+        samples[0] = _sample_np(up, uc, vp, vc, alpha, aa, dt, dx, *law)
+        e0 = samples[0, 0]
+        floor = floor_factor * e0
+    k = j = 0
+    while k < nsteps:
         for i in range(1, n2 - 1):
             lapu = (uc[i - 1] - 2.0 * uc[i] + uc[i + 1]) * inv_dx2
             lapv = (vc[i - 1] - 2.0 * vc[i] + vc[i + 1]) * inv_dx2
@@ -185,9 +189,9 @@ def _advance_scalar(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat,
             if k2 == 0.0:
                 s = b / clin
             else:
-                s = _solve_node(b, clin, k2, fam, p, q, s_sat, g_sat, tol, maxit)
+                s = _solve_node(b, clin, k2, *law, tol, maxit)
                 if math.isnan(s):
-                    return 1, i, b
+                    return k, i, b
             un[i] = up[i] + two_dt * s
             vn[i] = Q + dt2 * al * s
         for i in range(1, n2 - 1):
@@ -195,7 +199,59 @@ def _advance_scalar(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat,
             uc[i] = un[i]
             vp[i] = vc[i]
             vc[i] = vn[i]
-    return 0, -1, 0.0
+        k += 1
+        if samples is not None and (k % stride == 0 or k == nsteps):
+            j += 1
+            samples[j] = _sample_np(up, uc, vp, vc, alpha, aa, dt, dx, *law)
+            if e0 > 0.0 and samples[j, 0] < floor:
+                break
+    return k, -1, 0.0
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """sum(x * y) by numpy's pairwise summation, whose order no CPU feature
+    changes.  np.dot would call BLAS, whose kernel, and so whose rounding,
+    OpenBLAS picks by CPU."""
+    return np.add.reduce(x * y)
+
+
+def _lap(w: np.ndarray, dx: float) -> np.ndarray:
+    out = np.zeros_like(w)
+    out[1:-1] = (w[:-2] - 2.0 * w[1:-1] + w[2:]) / (dx * dx)
+    return out
+
+
+def _sample_np(up, uc, vp, vc, alpha, aa, dt, dx, fam, p, q, s_sat, g_sat):
+    """(E, E1, dissipation rate) of the state at the half step, in numpy:
+    the reference of `_step.c`'s sampler, and the sampler of the Python loop.
+
+    The gradient part of E uses the product of forward differences at the
+    two stored levels, which is the functional the scheme conserves exactly
+    when the damping vanishes.  E1 evaluates the accelerations through the
+    equations at the level average (meaningful for smooth data).  The
+    dissipation rate is -dx * sum rho(x, w) w with the half-step velocity w.
+    """
+    wu = (uc - up) / dt
+    wv = (vc - vp) / dt
+    kin = 0.5 * dx * (_dot(wu[1:-1], wu[1:-1]) + _dot(wv[1:-1], wv[1:-1]))
+    duc = np.diff(uc) / dx
+    dup = np.diff(up) / dx
+    dvc = np.diff(vc) / dx
+    dvp = np.diff(vp) / dx
+    grad = 0.5 * dx * (_dot(duc, dup) + _dot(dvc, dvp))
+    e = kin + grad
+
+    u_half = 0.5 * (uc + up)
+    v_half = 0.5 * (vc + vp)
+    rho = aa * ghat_np(wu, fam, p, q, s_sat, g_sat)
+    u_tt = _lap(u_half, dx) - alpha * wv - rho
+    v_tt = _lap(v_half, dx) + alpha * wu
+    dwu = np.diff(wu) / dx
+    dwv = np.diff(wv) / dx
+    e1 = 0.5 * dx * (
+        _dot(u_tt[1:-1], u_tt[1:-1]) + _dot(v_tt[1:-1], v_tt[1:-1]) + _dot(dwu, dwu) + _dot(dwv, dwv)
+    )
+    return float(e), float(e1), float(-dx * _dot(wu[1:-1], rho[1:-1]))
 
 
 def ghat_np(s: np.ndarray, fam: int, p: float, q: float, s_sat: float, g_sat: float) -> np.ndarray:
@@ -212,33 +268,33 @@ _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _BUILD_TIMEOUT = 120.0  # seconds allowed to each compiler call
 
 _lock = threading.Lock()
-_chosen = None  # (backend name, step, ghat, sampler or None), set by the first `_choose`
+_chosen = None  # (backend name, run loop, ghat), set by the first `_choose`
 
 
 class _BuildError(RuntimeError):
     """The C step could not be built."""
 
 
-def advance(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, g_sat, tol, maxit):
-    """Advance the state (up, uc, vp, vc) by nsteps, in place.
+def advance(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, g_sat, tol, maxit,
+            stride, samples, floor_factor):
+    """Advance the state (up, uc, vp, vc) by nsteps, in place; with a
+    sample buffer, run and sample a whole trace in one call.
 
-    Returns (0, -1, 0.0), or (1, node, b) when the node solve fails at
-    padded index `node` with right-hand side b; the state then stays at
-    the last completed step.  Runs the C step, or its reference
-    `_advance_scalar` where that cannot be built; both give the same bits
-    (see the module docstring).
+    `samples` is None, or a float64 array of shape
+    (1 + ceil(nsteps / stride), 3).  Given one, the call writes the state's
+    (E, E1, dissipation rate) to row 0 and a row after every stride-th step
+    and after the last one, and stops after the first row whose E is below
+    floor_factor * E0, when E0 > 0.  With nsteps = 0 it only samples.
+
+    Returns (k, -1, 0.0) after k steps, or (k, node, b) when the node solve
+    of step k (the step from t = k dt) fails at padded index `node` with
+    right-hand side b; the state then stays at step k.  Runs the C loop, or
+    its reference `_advance_scalar` where that cannot be built; both give
+    the same bits (see the module docstring).
     """
-    step = (_chosen or _choose())[1]
-    return step(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, g_sat, tol, maxit)
-
-
-def sample(up, uc, vp, vc, alpha, aa, dt, dx, fam, p, q, s_sat, g_sat):
-    """(E, E1, dissipation rate) of the state, as `sim.energy` and
-    `sim.dissipation_rate` give them, from one call of the C sampler; None
-    where the C step does not run, and those two functions are the sampler.
-    """
-    fn = (_chosen or _choose())[3]
-    return None if fn is None else fn(up, uc, vp, vc, alpha, aa, dt, dx, fam, p, q, s_sat, g_sat)
+    run = (_chosen or _choose())[1]
+    return run(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, g_sat, tol, maxit,
+               stride, samples, floor_factor)
 
 
 def active_backend() -> str:
@@ -248,7 +304,7 @@ def active_backend() -> str:
 
 
 def _choose():
-    """Build and load the C step and law once per process; fall back to the reference."""
+    """Build and load the C loop and law once per process; fall back to the reference."""
     global _chosen
     with _lock:
         if _chosen is None:
@@ -262,7 +318,7 @@ def _choose():
                 logging.getLogger(__name__).warning(
                     "wavedecay: the compiled time step is unavailable (%s); "
                     "running the much slower pure-Python reference step", exc)
-                _chosen = ("python", _advance_scalar, _ghat_scalar, None)
+                _chosen = ("python", _advance_scalar, _ghat_scalar)
     return _chosen
 
 
@@ -331,26 +387,29 @@ def _load_library():
 
 
 def _c_functions(lib):
-    """`advance`, `ghat_np` and `sample` through the library's
-    wavedecay_advance, wavedecay_ghat and wavedecay_sample."""
-    fn, ghat_fn, sample_fn = lib.wavedecay_advance, lib.wavedecay_ghat, lib.wavedecay_sample
+    """`advance` and `ghat_np` through the library's wavedecay_advance and wavedecay_ghat."""
+    fn, ghat_fn = lib.wavedecay_advance, lib.wavedecay_ghat
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    fn.restype, ghat_fn.restype, sample_fn.restype = ctypes.c_int, None, ctypes.c_int
+    fn.restype, ghat_fn.restype = i64, None
     fn.argtypes = (ptr, ptr, ptr, ptr, ptr, ptr, i64, f64, f64, i64, ctypes.c_int,
-                   f64, f64, f64, f64, f64, i64, ctypes.POINTER(i64), ctypes.POINTER(f64))
+                   f64, f64, f64, f64, f64, i64, i64, ptr, f64,
+                   ctypes.POINTER(i64), ctypes.POINTER(f64))
     ghat_fn.argtypes = (ptr, ptr, i64, ctypes.c_int, f64, f64, f64, f64)
-    sample_fn.argtypes = (ptr, ptr, ptr, ptr, ptr, ptr, i64, f64, f64, ctypes.c_int,
-                          f64, f64, f64, f64, ctypes.POINTER(f64 * 3))
-    byref = ctypes.byref
 
-    def advance_c(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, g_sat, tol, maxit):
-        n2 = uc.shape[0]
+    def advance_c(up, uc, vp, vc, alpha, aa, dt, dx, nsteps, fam, p, q, s_sat, g_sat, tol, maxit,
+                  stride, samples, floor_factor):
+        n2 = (uc.shape[0],)
         ptrs = [_address(a, n2) for a in (up, uc, vp, vc, alpha, aa)]
+        if samples is not None:
+            if stride < 1:  # the buffer's shape would not bound the rows written
+                raise ValueError("stride must be >= 1")
+            samples = _address(samples, (1 + -(-nsteps // stride), 3))
         node, b = i64(), f64()
-        status = fn(*ptrs, n2, dt, dx, nsteps, fam, p, q, s_sat, g_sat, tol, maxit, byref(node), byref(b))
-        if status < 0:
-            raise MemoryError("the compiled time step could not allocate its scratch arrays")
-        return (1, node.value, b.value) if status else (0, -1, 0.0)
+        k = fn(*ptrs, n2[0], dt, dx, nsteps, fam, p, q, s_sat, g_sat, tol, maxit, stride, samples,
+               floor_factor, ctypes.byref(node), ctypes.byref(b))
+        if k < 0:
+            raise MemoryError("the compiled run loop could not allocate its scratch arrays")
+        return k, node.value, b.value
 
     def ghat_c(s, fam, p, q, s_sat, g_sat):
         s = np.ascontiguousarray(s, dtype=np.float64)
@@ -358,20 +417,12 @@ def _c_functions(lib):
         ghat_fn(s.ctypes.data, out.ctypes.data, s.size, fam, p, q, s_sat, g_sat)
         return out
 
-    def sample_c(up, uc, vp, vc, alpha, aa, dt, dx, fam, p, q, s_sat, g_sat):
-        n2 = uc.shape[0]
-        ptrs = [_address(a, n2) for a in (up, uc, vp, vc, alpha, aa)]
-        out = (f64 * 3)()
-        if sample_fn(*ptrs, n2, dt, dx, fam, p, q, s_sat, g_sat, out) < 0:
-            raise MemoryError("the compiled sampler could not allocate its scratch arrays")
-        return out[0], out[1], out[2]
-
-    return advance_c, ghat_c, sample_c
+    return advance_c, ghat_c
 
 
-def _address(a, n2):
-    """Data address of a float64 array of shape (n2,); from_buffer raises
-    TypeError unless it is writeable and contiguous."""
-    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == (n2,)):
-        raise TypeError("the compiled time step needs float64 arrays of equal length")
+def _address(a, shape):
+    """Data address of a float64 array of the given shape; from_buffer raises
+    TypeError unless it is writeable and C-contiguous."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == shape):
+        raise TypeError(f"the compiled run loop needs float64 arrays of shape {shape}")
     return ctypes.addressof(ctypes.c_char.from_buffer(a))

@@ -1,4 +1,4 @@
-/* The compiled time step, damping law and trace sampler of wavedecay.
+/* The compiled run loop, damping law and trace sampler of wavedecay.
  *
  * The step and law are a line-by-line C translation of the scalar reference
  * in _kernels.py (_g, _ghat, _solve_node and _advance_scalar), with the
@@ -10,10 +10,13 @@
  * library's pow, exp and log for the finite positive arguments met here, so
  * both equal their reference bit for bit.
  *
- * The sampler, wavedecay_sample, forms sim.energy and sim.dissipation_rate
- * of a state in one call.  Its sums add the same products in the order of
+ * wavedecay_advance runs a whole trace in one call: it samples the state,
+ * steps in chunks of `stride`, samples after each chunk and stops at the
+ * energy floor.  Its sampler forms _kernels._sample_np (sim.energy and
+ * sim.dissipation_rate) with the same products, added in the order of
  * numpy's np.add.reduce (dot below), so it equals that numpy reference bit
- * for bit.
+ * for bit.  wavedecay_ghat is the law on an array.  These two functions are
+ * the library's only exports.
  */
 
 #include <math.h>
@@ -145,71 +148,6 @@ void wavedecay_ghat(const double *s, double *out, int64_t n, int fam, double p, 
         out[i] = ghat(s[i], fam, p, q, s_sat, g_sat, NULL);
 }
 
-/* _advance_scalar on arrays of length n2.  Returns 0 when every step is
- * done, 1 when a node solve fails (its index and b go to *node and *b_fail,
- * and the state stays at the last completed step), -1 when scratch memory
- * cannot be allocated (nothing is stepped). */
-int wavedecay_advance(double *up, double *uc, double *vp, double *vc,
-                      const double *alpha, const double *aa, int64_t n2,
-                      double dt, double dx, int64_t nsteps, int fam, double p, double q,
-                      double s_sat, double g_sat, double tol, int64_t maxit,
-                      int64_t *node, double *b_fail)
-{
-    double inv_dx2 = 1.0 / (dx * dx);
-    double dt2 = dt * dt;
-    double two_dt = 2.0 * dt;
-    double half_dt3 = 0.5 * dt2 * dt;
-    double *un, *vn;
-    int64_t k, i;
-
-    *node = -1;
-    *b_fail = 0.0;
-    un = calloc((size_t)n2, sizeof(double));
-    vn = calloc((size_t)n2, sizeof(double));
-    if (un == NULL || vn == NULL) {
-        free(un);
-        free(vn);
-        return -1;
-    }
-    for (k = 0; k < nsteps; k++) {
-        for (i = 1; i < n2 - 1; i++) {
-            double lapu = (uc[i - 1] - 2.0 * uc[i] + uc[i + 1]) * inv_dx2;
-            double lapv = (vc[i - 1] - 2.0 * vc[i] + vc[i + 1]) * inv_dx2;
-            double P = 2.0 * uc[i] - up[i] + dt2 * lapu;
-            double Q = 2.0 * vc[i] - vp[i] + dt2 * lapv;
-            double al = alpha[i];
-            double rmid0 = (Q - vp[i]) / two_dt;
-            double b = P - up[i] - dt2 * al * rmid0;
-            double clin = two_dt + half_dt3 * al * al;
-            double k2 = dt2 * aa[i];
-            double s;
-            if (k2 == 0.0) {
-                s = b / clin;
-            } else {
-                s = solve_node(b, clin, k2, fam, p, q, s_sat, g_sat, tol, maxit);
-                if (isnan(s)) {
-                    *node = i;
-                    *b_fail = b;
-                    free(un);
-                    free(vn);
-                    return 1;
-                }
-            }
-            un[i] = up[i] + two_dt * s;
-            vn[i] = Q + dt2 * al * s;
-        }
-        for (i = 1; i < n2 - 1; i++) {
-            up[i] = uc[i];
-            uc[i] = un[i];
-            vp[i] = vc[i];
-            vc[i] = vn[i];
-        }
-    }
-    free(un);
-    free(vn);
-    return 0;
-}
-
 /* The sum of x[i] * y[i] over i < n in np.add.reduce(x * y)'s order:
  * numpy's pairwise summation (blocks of at most 128 terms, each summed in
  * 8 accumulators) added to the reduction's start value 0.0. */
@@ -244,22 +182,20 @@ static double dot(const double *x, const double *y, int64_t n)
     return 0.0 + pairwise_dot(x, y, n);
 }
 
-/* sim.energy and sim.dissipation_rate of the state (up, uc, vp, vc) of
- * length n2: E into out[0], E1 into out[1], the dissipation rate into
- * out[2], each formed with the same operations in the same order.  Returns
- * 0, or -1 when scratch memory cannot be allocated (out is not written). */
-int wavedecay_sample(const double *up, const double *uc, const double *vp, const double *vc,
-                     const double *alpha, const double *aa, int64_t n2, double dt, double dx,
-                     int fam, double p, double q, double s_sat, double g_sat, double *out)
+/* _sample_np of the state (up, uc, vp, vc) of length n2: E into out[0],
+ * E1 into out[1], the dissipation rate into out[2], each formed with the
+ * same operations in the same order.  w holds 7 * n2 doubles of scratch. */
+static void sample(const double *up, const double *uc, const double *vp, const double *vc,
+                   const double *alpha, const double *aa, int64_t n2, double dt, double dx,
+                   int fam, double p, double q, double s_sat, double g_sat, double *w,
+                   double *out)
 {
     int64_t m = n2 - 2, i;
     double dx2 = dx * dx;
     double *wu, *wv, *rho, *uh, *vh, *x, *y;
     double kin, grad, sum;
 
-    wu = malloc(7 * (size_t)n2 * sizeof(double));
-    if (wu == NULL)
-        return -1;
+    wu = w;
     wv = wu + n2;
     rho = wv + n2;
     uh = rho + n2;
@@ -301,6 +237,84 @@ int wavedecay_sample(const double *up, const double *uc, const double *vp, const
     out[1] = 0.5 * dx * (sum + dot(y, y, n2 - 1));
 
     out[2] = -dx * dot(wu + 1, rho + 1, m);
-    free(wu);
-    return 0;
+}
+
+/* _advance_scalar on arrays of length n2: nsteps steps of the state.  With
+ * samples NULL, stride is ignored.  Otherwise the run samples the state into
+ * samples[0..2] and appends a sample (E, E1, dissipation rate) after every
+ * stride-th step and after the last one, and stops after the first sample
+ * whose E is below floor_factor * E0, when E0 > 0.
+ * Returns the number of steps done.  When the node solve fails, its node's
+ * index and b go to *node and *b_fail, and the state stays at the last
+ * completed step, the returned one.  Returns -1 when scratch memory cannot
+ * be allocated (nothing is stepped). */
+int64_t wavedecay_advance(double *up, double *uc, double *vp, double *vc,
+                          const double *alpha, const double *aa, int64_t n2,
+                          double dt, double dx, int64_t nsteps, int fam, double p, double q,
+                          double s_sat, double g_sat, double tol, int64_t maxit,
+                          int64_t stride, double *samples, double floor_factor,
+                          int64_t *node, double *b_fail)
+{
+    double inv_dx2 = 1.0 / (dx * dx);
+    double dt2 = dt * dt;
+    double two_dt = 2.0 * dt;
+    double half_dt3 = 0.5 * dt2 * dt;
+    double e0 = 0.0, e_floor = 0.0;
+    double *un, *vn;
+    int64_t k, i;
+
+    *node = -1;
+    *b_fail = 0.0;
+    un = calloc((size_t)n2 * (samples ? 2 + 7 : 2), sizeof(double)); /* un, vn, sample's w */
+    if (un == NULL)
+        return -1;
+    vn = un + n2;
+    if (samples) {
+        sample(up, uc, vp, vc, alpha, aa, n2, dt, dx, fam, p, q, s_sat, g_sat, vn + n2, samples);
+        e0 = samples[0];
+        e_floor = floor_factor * e0;
+    }
+    for (k = 0; k < nsteps;) {
+        for (i = 1; i < n2 - 1; i++) {
+            double lapu = (uc[i - 1] - 2.0 * uc[i] + uc[i + 1]) * inv_dx2;
+            double lapv = (vc[i - 1] - 2.0 * vc[i] + vc[i + 1]) * inv_dx2;
+            double P = 2.0 * uc[i] - up[i] + dt2 * lapu;
+            double Q = 2.0 * vc[i] - vp[i] + dt2 * lapv;
+            double al = alpha[i];
+            double rmid0 = (Q - vp[i]) / two_dt;
+            double b = P - up[i] - dt2 * al * rmid0;
+            double clin = two_dt + half_dt3 * al * al;
+            double k2 = dt2 * aa[i];
+            double s;
+            if (k2 == 0.0) {
+                s = b / clin;
+            } else {
+                s = solve_node(b, clin, k2, fam, p, q, s_sat, g_sat, tol, maxit);
+                if (isnan(s)) {
+                    *node = i;
+                    *b_fail = b;
+                    free(un);
+                    return k;
+                }
+            }
+            un[i] = up[i] + two_dt * s;
+            vn[i] = Q + dt2 * al * s;
+        }
+        for (i = 1; i < n2 - 1; i++) {
+            up[i] = uc[i];
+            uc[i] = un[i];
+            vp[i] = vc[i];
+            vc[i] = vn[i];
+        }
+        k++;
+        if (samples && (k % stride == 0 || k == nsteps)) {
+            samples += 3;
+            sample(up, uc, vp, vc, alpha, aa, n2, dt, dx, fam, p, q, s_sat, g_sat, vn + n2,
+                   samples);
+            if (e0 > 0.0 && samples[0] < e_floor)
+                break;
+        }
+    }
+    free(un);
+    return k;
 }

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _kernels
 from .feedback import CoefficientField, FeedbackLaw
-from ._kernels import ghat_np
+from ._kernels import _lap, ghat_np
 
 DEFAULT_ALPHA_MAX = 0.2
 ENERGY_FLOOR_FACTOR = 1e-14
@@ -150,12 +150,6 @@ def build_coefficients(spec: CoefficientField | None, n: int) -> np.ndarray:
     return vals
 
 
-def _lap(w: np.ndarray, dx: float) -> np.ndarray:
-    out = np.zeros_like(w)
-    out[1:-1] = (w[:-2] - 2.0 * w[1:-1] + w[2:]) / (dx * dx)
-    return out
-
-
 def init_state(cfg: SimConfig) -> WaveState:
     """Build the two-level starting state with a second-order Taylor start."""
     if cfg.n < 3:
@@ -219,32 +213,27 @@ def init_state(cfg: SimConfig) -> WaveState:
     )
 
 
-def _advance(state: WaveState, nsteps: int) -> None:
+def _kernel_args(state: WaveState):
+    """The state's arguments of `_kernels.advance` and `_kernels._sample_np`:
+    those before nsteps (levels, coefficients, dt, dx) and the law's."""
     law = state.law
-    status, node, resid = _kernels.advance(
-        state.u_prev,
-        state.u_curr,
-        state.v_prev,
-        state.v_curr,
-        state.alpha,
-        state.a,
-        state.dt,
-        state.dx,
-        nsteps,
-        law.code,
-        law.p,
-        law.q,
-        law.s_sat,
-        law.g_sat,
-        NODE_SOLVE_TOL,
-        NODE_SOLVE_MAXIT,
-    )
-    if status != 0:
+    return ((state.u_prev, state.u_curr, state.v_prev, state.v_curr, state.alpha, state.a,
+             state.dt, state.dx), (law.code, law.p, law.q, law.s_sat, law.g_sat))
+
+
+def _advance(state: WaveState, nsteps: int, stride: int = 1, samples=None) -> int:
+    """`_kernels.advance` on the state, called positionally with nsteps at
+    index 8; returns the number of steps done."""
+    grid, law = _kernel_args(state)
+    k, node, b = _kernels.advance(*grid, nsteps, *law, NODE_SOLVE_TOL, NODE_SOLVE_MAXIT,
+                                  stride, samples, ENERGY_FLOOR_FACTOR)
+    if node >= 0:
         raise SimError(
-            f"node solve failed to converge at node {node} (t ~ {state.t:g}, "
-            f"residual scale {resid:g})"
+            f"node solve failed to converge at node {node} in step {k} "
+            f"(t = {state.t + k * state.dt:g}, residual scale {b:g})"
         )
-    state.t += nsteps * state.dt
+    state.t += k * state.dt
+    return k
 
 
 def step(state: WaveState) -> WaveState:
@@ -253,67 +242,17 @@ def step(state: WaveState) -> WaveState:
     return state
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> float:
-    """sum(x * y) by numpy's pairwise summation, whose order no CPU feature
-    changes.  np.dot would call BLAS, whose kernel, and so whose rounding,
-    OpenBLAS picks by CPU."""
-    return np.add.reduce(x * y)
-
-
 def energy(state: WaveState) -> tuple[float, float]:
-    """Compatible discrete energy and first-order energy at the half step.
-
-    The gradient part uses the product of forward differences at the two
-    stored levels, which is the functional the scheme conserves exactly when
-    the damping vanishes.  The first-order energy evaluates the accelerations
-    through the equations at the level average (meaningful for smooth data).
-    """
-    dt, dx = state.dt, state.dx
-    wu = (state.u_curr - state.u_prev) / dt
-    wv = (state.v_curr - state.v_prev) / dt
-    kin = 0.5 * dx * (_dot(wu[1:-1], wu[1:-1]) + _dot(wv[1:-1], wv[1:-1]))
-    duc = np.diff(state.u_curr) / dx
-    dup = np.diff(state.u_prev) / dx
-    dvc = np.diff(state.v_curr) / dx
-    dvp = np.diff(state.v_prev) / dx
-    grad = 0.5 * dx * (_dot(duc, dup) + _dot(dvc, dvp))
-    e = kin + grad
-
-    law = state.law
-    u_half = 0.5 * (state.u_curr + state.u_prev)
-    v_half = 0.5 * (state.v_curr + state.v_prev)
-    rho = state.a * ghat_np(wu, law.code, law.p, law.q, law.s_sat, law.g_sat)
-    u_tt = _lap(u_half, dx) - state.alpha * wv - rho
-    v_tt = _lap(v_half, dx) + state.alpha * wu
-    dwu = np.diff(wu) / dx
-    dwv = np.diff(wv) / dx
-    e1 = 0.5 * dx * (
-        _dot(u_tt[1:-1], u_tt[1:-1]) + _dot(v_tt[1:-1], v_tt[1:-1]) + _dot(dwu, dwu) + _dot(dwv, dwv)
-    )
-    return float(e), float(e1)
+    """Compatible discrete energy and first-order energy at the half step,
+    as the trace samples them (`_kernels._sample_np`)."""
+    grid, law = _kernel_args(state)
+    return _kernels._sample_np(*grid, *law)[:2]
 
 
 def dissipation_rate(state: WaveState) -> float:
     """-dx * sum rho(x, w) w with the half-step velocity w; always <= 0."""
-    law = state.law
-    wu = (state.u_curr - state.u_prev) / state.dt
-    rho = state.a * ghat_np(wu, law.code, law.p, law.q, law.s_sat, law.g_sat)
-    return float(-state.dx * _dot(wu[1:-1], rho[1:-1]))
-
-
-def _sample(state: WaveState) -> tuple[float, float, float]:
-    """E, E1 and the dissipation rate of the state.
-
-    One call of the C sampler (`_kernels.sample`), which forms `energy` and
-    `dissipation_rate` with their operations in their order and so equals
-    them bit for bit; where the C step does not run, those two functions.
-    """
-    law = state.law
-    out = _kernels.sample(state.u_prev, state.u_curr, state.v_prev, state.v_curr, state.alpha,
-                          state.a, state.dt, state.dx, law.code, law.p, law.q, law.s_sat, law.g_sat)
-    if out is None:
-        return (*energy(state), dissipation_rate(state))
-    return out
+    grid, law = _kernel_args(state)
+    return _kernels._sample_np(*grid, *law)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +333,12 @@ class EnergyTrace:
 
 
 def run(cfg: SimConfig, meta: dict | None = None) -> EnergyTrace:
-    """Step to t_final, sampling every `stride` steps; early stop at the energy floor."""
+    """Step to t_final, sampling every `stride` steps; early stop at the energy floor.
+
+    One `_kernels.advance` call steps, samples and stops at the floor (the
+    first sample whose E is below ENERGY_FLOOR_FACTOR * E(0)); this function
+    labels the samples with their half-step times and writes the meta lines.
+    """
     if not 0.0 < cfg.t_final < math.inf:
         raise SimError("t_final must be finite and positive")
     if cfg.stride < 1:
@@ -402,31 +346,13 @@ def run(cfg: SimConfig, meta: dict | None = None) -> EnergyTrace:
     state = init_state(cfg)
     dt = state.dt
     total_steps = int(math.ceil(cfg.t_final / dt))
-
-    ts, es, e1s, ds = [], [], [], []
+    samples = np.empty((1 + -(-total_steps // cfg.stride), 3))
+    k = _advance(state, total_steps, cfg.stride, samples)
+    E, E1, dissipation = samples[: 1 + -(-k // cfg.stride)].T.copy()
+    if not cfg.smooth:
+        E1[:] = math.nan
+    step_index = np.minimum(np.arange(len(E)) * cfg.stride, k)
     law = cfg.law
-
-    def sample(step_index: int) -> float:
-        e, e1, d = _sample(state)
-        t_label = max(0.0, step_index * dt - 0.5 * dt)
-        ts.append(t_label)
-        es.append(e)
-        e1s.append(e1 if cfg.smooth else math.nan)
-        ds.append(d)
-        return e
-
-    e0 = sample(0)
-    floor = ENERGY_FLOOR_FACTOR * e0
-    early_stop = False
-    k = 0
-    while k < total_steps:
-        m = min(cfg.stride, total_steps - k)
-        _advance(state, m)
-        k += m
-        e = sample(k)
-        if e0 > 0.0 and e < floor:
-            early_stop = True
-            break
 
     trace_meta = {
         "n": str(cfg.n),
@@ -438,20 +364,20 @@ def run(cfg: SimConfig, meta: dict | None = None) -> EnergyTrace:
         "law_p": f"{law.p:.17g}",
         "law_q": f"{law.q:.17g}",
         "law_r0": f"{law.r0:.17g}",
-        "e0": f"{e0:.17g}",
-        "e1_0": f"{e1s[0]:.17g}",
+        "e0": f"{E[0]:.17g}",
+        "e1_0": f"{E1[0]:.17g}",
         "smooth": str(cfg.smooth).lower(),
         "alpha_max": f"{cfg.alpha_max:.17g}",
         "backend": _kernels.active_backend(),
-        "early_stop": str(early_stop).lower(),
+        "early_stop": str(E[0] > 0.0 and E[-1] < ENERGY_FLOOR_FACTOR * E[0]).lower(),
         "geometry_1d": "control/damping regions are nonempty open subintervals (geometric condition trivial in 1d)",
     }
     if meta:
         trace_meta.update(meta)
     return EnergyTrace(
-        t=np.array(ts),
-        E=np.array(es),
-        E1=np.array(e1s),
-        dissipation=np.array(ds),
+        t=np.maximum(0.0, step_index * dt - 0.5 * dt),
+        E=E,
+        E1=E1,
+        dissipation=dissipation,
         meta=trace_meta,
     )

@@ -206,25 +206,33 @@ def test_dissipation_matches_energy_slope(power3):
 # traces, the step against its reference, CSV
 
 
+def _floor_cfg():
+    """A linear-law run that reaches the energy floor long before t_final."""
+    return wd.SimConfig(law=wd.make_feedback("linear"),
+                        a_field=wd.CoefficientField("indicator", (0.2, 0.8), 2.0),
+                        n=49, cfl=0.9, t_final=5000.0, stride=100,
+                        u0="sine:1:1.0", u1="zero", v0="zero", v1="zero")
+
+
 def test_early_stop_on_floor():
-    lin = wd.make_feedback("linear")
-    cfg = wd.SimConfig(law=lin,
-                       a_field=wd.CoefficientField("indicator", (0.2, 0.8), 2.0),
-                       n=49, cfl=0.9, t_final=5000.0, stride=100,
-                       u0="sine:1:1.0", u1="zero", v0="zero", v1="zero")
-    tr = wd.run(cfg)
+    tr = wd.run(_floor_cfg())
     assert tr.meta["early_stop"] == "true"
     assert tr.t[-1] < 5000.0
     assert tr.E[-1] < 1e-13 * tr.e0
+    assert tr.E[-2] >= wd.sim.ENERGY_FLOOR_FACTOR * tr.e0  # the first sample below stops
 
 
-def _run_kernel(kernel, cfg, nsteps, maxit=200):
-    """Advance cfg's start state by nsteps with one kernel; return (state, report)."""
+def _run_kernel(kernel, cfg, nsteps, maxit=200, stride=None):
+    """Advance cfg's start state by nsteps with one kernel; return (state,
+    report, samples).  With a stride, the kernel also samples the run, as
+    `sim.run` has it do, into a NaN-filled buffer; samples is None without."""
     st = wd.init_state(cfg)
     law = cfg.law
+    samples = None if stride is None else np.full((1 + -(-nsteps // stride), 3), np.nan)
     report = kernel(st.u_prev, st.u_curr, st.v_prev, st.v_curr, st.alpha, st.a, st.dt, st.dx,
-                    nsteps, law.code, law.p, law.q, law.s_sat, law.g_sat, 1e-13, maxit)
-    return st, report
+                    nsteps, law.code, law.p, law.q, law.s_sat, law.g_sat, 1e-13, maxit,
+                    stride or 1, samples, wd.sim.ENERGY_FLOOR_FACTOR)
+    return st, report, samples
 
 
 def _same_state(st1, st2):
@@ -241,7 +249,8 @@ def _smooth_fields(cfg):
 
 
 def _equivalence_cases(base):
-    """test_backend_equivalence's cases: name -> (config, steps)."""
+    """test_backend_equivalence's cases: name -> (config, steps, stride).
+    300 steps in chunks of 7 end in a partial chunk of 6."""
     cases = {
         "power p=3": base,
         "power p=5": dataclasses.replace(base, law=wd.make_feedback("power", p=5.0, r0=1.0)),
@@ -253,7 +262,7 @@ def _equivalence_cases(base):
         "saturated": dataclasses.replace(base, u1="sine:1:3.0"),  # |u_t| > s_sat = 1
         "smooth_bump": _smooth_fields(base),
     }
-    return {name: (cfg, 300) for name, cfg in cases.items()}
+    return {name: (cfg, 300, 7) for name, cfg in cases.items()}
 
 
 def _long_cases(base):
@@ -267,15 +276,21 @@ def _long_cases(base):
         "power p=1.5 smooth_bump n=49": _smooth_fields(
             dataclasses.replace(small, law=wd.make_feedback("power", p=1.5, r0=1.0))),
     }
-    return {name: (cfg, 600) for name, cfg in cases.items()}
+    return {name: (cfg, 600, 40) for name, cfg in cases.items()}
 
 
 def _assert_equivalent(cases, step):
-    for name, (cfg, nsteps) in cases.items():
-        st1, rep1 = _run_kernel(_kernels._advance_scalar, cfg, nsteps)
-        st2, rep2 = _run_kernel(step, cfg, nsteps)
-        assert rep1 == rep2 == (0, -1, 0.0), name
+    """The C loop and its reference reach the same state and write the same
+    sample bytes, NaN-filled rows past a stop included; unsampled, they
+    reach that state too."""
+    for name, (cfg, nsteps, stride) in cases.items():
+        st1, rep1, samples1 = _run_kernel(_kernels._advance_scalar, cfg, nsteps, stride=stride)
+        st2, rep2, samples2 = _run_kernel(step, cfg, nsteps, stride=stride)
+        assert rep1 == rep2 and rep1[1:] == (-1, 0.0), name
         assert _same_state(st1, st2), name
+        assert samples1.tobytes() == samples2.tobytes(), name
+        st3, rep3, _ = _run_kernel(step, cfg, rep1[0])
+        assert rep3 == rep1 and _same_state(st1, st3), name
 
 
 def _compiled_step():
@@ -292,24 +307,85 @@ needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 
 
 @needs_cc
 def test_backend_equivalence(damped_cfg):
-    """The C step against its scalar reference, bit for bit: every law
-    family, the saturation branch, a smooth damping field, and longer n = 49
-    runs of laws that call pow, exp and log at every iterate."""
-    _assert_equivalent({**_equivalence_cases(damped_cfg), **_long_cases(damped_cfg)},
-                       _compiled_step())
+    """The C loop against its reference, state and samples bit for bit:
+    every law family, the saturation branch, a smooth damping field, longer
+    n = 49 runs of laws that call pow, exp and log at every iterate, a
+    sample at every step, and a linear-law run stopped at the energy floor
+    (1400 of its 277,778 steps)."""
+    floor = _floor_cfg()
+    cases = {
+        **_equivalence_cases(damped_cfg),
+        **_long_cases(damped_cfg),
+        "power p=3 stride 1": (damped_cfg, 300, 1),
+        "linear floor stop": (floor, math.ceil(floor.t_final / wd.init_state(floor).dt), 100),
+    }
+    _assert_equivalent(cases, _compiled_step())
+    cfg, nsteps, stride = cases["linear floor stop"]
+    assert _run_kernel(_compiled_step(), cfg, nsteps, stride=stride)[1] == (1400, -1, 0.0)
+
+
+@needs_cc
+def test_compiled_loop_checks_its_sample_buffer(damped_cfg):
+    """The C loop writes 1 + ceil(nsteps / stride) sample rows, so a buffer
+    of another shape and a stride below 1 are refused before the call."""
+    step = _compiled_step()
+    for nsteps, stride, rows, error in ((10, 3, 5, None), (10, 3, 4, TypeError), (10, 3, 6, TypeError),
+                                        (10, 0, 1, ValueError), (3, -5, 1, ValueError)):
+        st = wd.init_state(damped_cfg)
+        law = damped_cfg.law
+        args = (st.u_prev, st.u_curr, st.v_prev, st.v_curr, st.alpha, st.a, st.dt, st.dx, nsteps,
+                law.code, law.p, law.q, law.s_sat, law.g_sat, 1e-13, 200, stride, np.zeros((rows, 3)), 0.0)
+        if error is None:
+            assert step(*args) == (nsteps, -1, 0.0)
+        else:
+            with pytest.raises(error):
+                step(*args)
+            assert st.u_curr.tobytes() == wd.init_state(damped_cfg).u_curr.tobytes()
+
+
+def _late_failure_cfg(cfg):
+    """cfg with u starting outside the damped region: with the node solve
+    cut off after one iteration, the first solve that fails is in step 11,
+    at padded node 59, inside the third chunk of cfg's stride 5."""
+    return dataclasses.replace(cfg, u0="bump:0.7:0.95:1.0", v0="zero")
 
 
 @needs_cc
 def test_backend_failure_report(damped_cfg):
-    """A node solve cut off after one iteration fails at the same node in
-    the C step and its reference, with the same residual scale b, leaving
-    the state at the last completed step."""
-    st1, rep1 = _run_kernel(_kernels._advance_scalar, damped_cfg, 50, maxit=1)
-    st2, rep2 = _run_kernel(_compiled_step(), damped_cfg, 50, maxit=1)
-    assert rep1[0] == rep2[0] == 1
-    assert rep1[1] == rep2[1] == 21  # padded index of the first node that fails
+    """A node solve cut off after one iteration fails in the same step at
+    the same node in the C loop and its reference, with the same residual
+    scale b, leaving the state at the last completed step and the samples
+    at the last completed chunk."""
+    cfg = _late_failure_cfg(damped_cfg)
+    st1, rep1, samples1 = _run_kernel(_kernels._advance_scalar, cfg, 50, maxit=1, stride=5)
+    st2, rep2, samples2 = _run_kernel(_compiled_step(), cfg, 50, maxit=1, stride=5)
+    assert rep1[:2] == rep2[:2] == (11, 59)
     assert float(rep1[2]) == rep2[2]
     assert _same_state(st1, st2)
+    assert samples1.tobytes() == samples2.tobytes()
+    assert not np.isnan(samples1[:3]).any() and np.isnan(samples1[3:]).all()
+
+
+def test_node_solve_error_names_the_step(monkeypatch, damped_cfg):
+    """The SimError of a failed node solve names the failing step k and
+    t = k dt, not the start of its chunk, the same from the C loop and from
+    the Python loop."""
+    monkeypatch.setattr(wd.sim, "NODE_SOLVE_MAXIT", 1)
+    cfg = _late_failure_cfg(damped_cfg)
+    expected = f"at node 59 in step 11 (t = {11 * wd.init_state(cfg).dt:g},"
+    messages = []
+    if shutil.which("cc") is not None:
+        assert _compiled_step() is not None
+        with pytest.raises(SimError, match="node solve failed") as err:
+            wd.run(cfg)
+        messages.append(str(err.value))
+    monkeypatch.setattr(_kernels, "_chosen",
+                        ("python", _kernels._advance_scalar, _kernels._ghat_scalar))
+    with pytest.raises(SimError, match="node solve failed") as err:
+        wd.run(cfg)
+    messages.append(str(err.value))
+    assert expected in messages[0], messages
+    assert len(set(messages)) == 1, messages
 
 
 def test_ghat_np_matches_reference():
@@ -450,15 +526,18 @@ def _sampler_states():
 
 @needs_cc
 def test_sampler_matches_numpy():
-    """The C sampler's E, E1 and dissipation rate equal `energy()` and
-    `dissipation_rate()` bit for bit."""
-    assert _compiled_step() is not None
+    """The C sampler's E, E1 and dissipation rate, from a sample-only call
+    of the C loop (nsteps = 0), equal `energy()` and `dissipation_rate()`
+    bit for bit."""
+    compiled = _compiled_step()
     for name, st in _sampler_states():
         law = st.law
-        got = _kernels.sample(st.u_prev, st.u_curr, st.v_prev, st.v_curr, st.alpha, st.a,
-                              st.dt, st.dx, law.code, law.p, law.q, law.s_sat, law.g_sat)
+        got = np.empty((1, 3))
+        assert compiled(st.u_prev, st.u_curr, st.v_prev, st.v_curr, st.alpha, st.a, st.dt, st.dx,
+                        0, law.code, law.p, law.q, law.s_sat, law.g_sat, 1e-13, 200,
+                        1, got, 0.0) == (0, -1, 0.0)
         ref = (*wd.energy(st), wd.dissipation_rate(st))
-        assert np.array(got).tobytes() == np.array(ref).tobytes(), (name, got, ref)
+        assert got.tobytes() == np.array([ref]).tobytes(), (name, got, ref)
 
 
 def _state_digest(st):
@@ -484,8 +563,8 @@ STEP_PROBE = textwrap.dedent(
     from wavedecay import _kernels
 
     cfg = conftest.damped_config()
-    st1, rep1 = test_sim._run_kernel(_kernels.advance, cfg, 40)
-    st2, rep2 = test_sim._run_kernel(_kernels._advance_scalar, cfg, 40)
+    st1, rep1, _ = test_sim._run_kernel(_kernels.advance, cfg, 40)
+    st2, rep2, _ = test_sim._run_kernel(_kernels._advance_scalar, cfg, 40)
     print(_kernels.active_backend(), rep1 == rep2 and test_sim._same_state(st1, st2),
           test_sim._state_digest(st1), test_sim._trace_digest(cfg))
     """
