@@ -14,15 +14,18 @@ of `stride`, samples (E, E1, dissipation rate) after each chunk and stops
 at the energy floor.  It has two implementations of one algorithm:
 `_step.c`, which runs, and its reference in Python, `_solve_node` and
 `_advance_scalar` stepping one node at a time and `_sample_np` sampling in
-numpy.  `_step.c` translates the reference with the same floating-point
-operations in the same order, and its sampler adds the same products in
-`np.add.reduce`'s pairwise order.
+numpy.  In `_step.c` each node runs the reference's floating-point
+operations in the same order, but a step's damped nodes are solved
+together, in lockstep, one Newton iterate of every open node per pass, so
+the CPU overlaps their independent pow/exp/log calls; a failed step
+reports its lowest failing node, where the reference stops.  Its sampler
+adds the same products in `np.add.reduce`'s pairwise order.
 
 Which step runs.  The first call of `advance`, `ghat_np` or
 `active_backend`, never the import, builds `_step.c` with the system `cc`
 and loads it through ctypes.  Only where there is no `cc` on PATH, or the
 build or the load fails, does one `logging` warning give the reason and
-the Python reference run instead, its step 40 to 320 times slower (README,
+the Python reference run instead, its step 80 to 370 times slower (README,
 Kernel backends).  `active_backend()` names the step that runs, "c" or
 "python"; nothing else selects it.
 

@@ -1,14 +1,17 @@
 /* The compiled run loop, damping law and trace sampler of wavedecay.
  *
- * The step and law are a line-by-line C translation of the scalar reference
- * in _kernels.py (_g, _ghat, _solve_node and _advance_scalar), with the
- * same floating-point operations in the same order.  A Newton iterate of
- * the node solve calls pow, exp and log once: g and ghat return the slope
- * g' beside the value, formed from the same libm results.  _kernels builds
- * the file with -ffp-contract=off, so no multiply-add is fused, and calls it
- * through ctypes.  Python's `**`, math.exp and math.log call the C
- * library's pow, exp and log for the finite positive arguments met here, so
- * both equal their reference bit for bit.
+ * The step and law are a C translation of the scalar reference in
+ * _kernels.py (_g, _ghat, _solve_node and _advance_scalar): each node runs
+ * the reference's floating-point operations in the same order.  Only the
+ * order of the nodes differs: a step's damped nodes are solved together, in
+ * lockstep (solve_lanes), so the CPU overlaps their independent libm calls.
+ * A Newton iterate of the node solve calls pow, exp and log once: g and
+ * ghat return the slope g' beside the value, formed from the same libm
+ * results.  _kernels builds the file with -ffp-contract=off, so no
+ * multiply-add is fused, and calls it through ctypes.  Python's `**`,
+ * math.exp and math.log call the C library's pow, exp and log for the
+ * finite positive arguments met here, so both equal their reference bit for
+ * bit.
  *
  * wavedecay_advance runs a whole trace in one call: it samples the state,
  * steps in chunks of `stride`, samples after each chunk and stops at the
@@ -100,44 +103,68 @@ static double ghat(double s, int fam, double p, double q, double s_sat, double g
     return s > 0.0 ? v : -v;
 }
 
-/* Root of clin*s + k2*ghat(s) - b; NAN on non-convergence. */
-static double solve_node(double b, double clin, double k2, int fam, double p, double q,
-                         double s_sat, double g_sat, double tol, int64_t maxit)
+/* One damped node's equation clin*s + k2*ghat(s) = b, and the safeguarded
+ * Newton iteration on it: the iterate s inside the sign bracket [lo, hi]. */
+struct lane {
+    double b, clin, k2, feps, lo, hi, s;
+    int64_t node; /* the padded index */
+};
+
+/* The root of each lane's equation into its s, NAN where the iteration does
+ * not converge within maxit iterates.  Each lane runs _solve_node's
+ * operations in the same order (its b == 0 case stays with the caller: no
+ * lane has b == 0), so its s equals the reference's bit for bit.  The lanes
+ * run in lockstep: a pass over the open list does one iterate of every lane
+ * not yet done and keeps the still open ones in order, so the CPU can
+ * overlap the independent libm calls of different lanes.  open holds
+ * nlanes indices of scratch. */
+static void solve_lanes(struct lane *lanes, int64_t *open, int64_t nlanes, int fam, double p,
+                        double q, double s_sat, double g_sat, double tol, int64_t maxit)
 {
-    double s_lin, lo, hi, s, feps, f, d, sn, slope;
-    int64_t it;
-    if (b == 0.0)
-        return 0.0;
-    s_lin = b / clin;
-    if (b > 0.0) {
-        lo = 0.0;
-        hi = s_lin;
-    } else {
-        lo = s_lin;
-        hi = 0.0;
-    }
-    s = s_lin;
-    feps = 1e-14 * fabs(b);
-    for (it = 0; it < maxit; it++) {
-        f = clin * s + k2 * ghat(s, fam, p, q, s_sat, g_sat, &slope) - b;
-        if (fabs(f) <= feps)
-            return s;
-        if (f > 0.0)
-            hi = s;
-        else
-            lo = s;
-        if (hi - lo <= tol * (1.0 + fabs(s)))
-            return 0.5 * (lo + hi);
-        d = clin + k2 * slope;
-        sn = s - f / d;
-        if (sn <= lo || sn >= hi || sn == s) {
-            sn = 0.5 * (lo + hi);
-            if (sn == s)
-                return s;
+    int64_t nopen = 0, it, j, w;
+    for (j = 0; j < nlanes; j++) {
+        struct lane *L = lanes + j;
+        double s_lin = L->b / L->clin;
+        if (L->b > 0.0) {
+            L->lo = 0.0;
+            L->hi = s_lin;
+        } else {
+            L->lo = s_lin;
+            L->hi = 0.0;
         }
-        s = sn;
+        L->s = s_lin;
+        L->feps = 1e-14 * fabs(L->b);
+        open[nopen++] = j;
     }
-    return NAN;
+    for (it = 0; it < maxit && nopen > 0; it++) {
+        for (j = w = 0; j < nopen; j++) {
+            struct lane *L = lanes + open[j];
+            double s = L->s, f, d, sn, slope;
+            f = L->clin * s + L->k2 * ghat(s, fam, p, q, s_sat, g_sat, &slope) - L->b;
+            if (fabs(f) <= L->feps)
+                continue;
+            if (f > 0.0)
+                L->hi = s;
+            else
+                L->lo = s;
+            if (L->hi - L->lo <= tol * (1.0 + fabs(s))) {
+                L->s = 0.5 * (L->lo + L->hi);
+                continue;
+            }
+            d = L->clin + L->k2 * slope;
+            sn = s - f / d;
+            if (sn <= L->lo || sn >= L->hi || sn == s) {
+                sn = 0.5 * (L->lo + L->hi);
+                if (sn == s)
+                    continue;
+            }
+            L->s = sn;
+            open[w++] = open[j];
+        }
+        nopen = w;
+    }
+    for (j = 0; j < nopen; j++)
+        lanes[open[j]].s = NAN;
 }
 
 /* _ghat on each of the n values of s, into out. */
@@ -244,10 +271,16 @@ static void sample(const double *up, const double *uc, const double *vp, const d
  * samples[0..2] and appends a sample (E, E1, dissipation rate) after every
  * stride-th step and after the last one, and stops after the first sample
  * whose E is below floor_factor * E0, when E0 > 0.
- * Returns the number of steps done.  When the node solve fails, its node's
- * index and b go to *node and *b_fail, and the state stays at the last
- * completed step, the returned one.  Returns -1 when scratch memory cannot
- * be allocated (nothing is stepped). */
+ * Returns the number of steps done.  When the node solve fails, the lowest
+ * failing node's index and b go to *node and *b_fail, and the state stays at
+ * the last completed step, the returned one.  Returns -1 when scratch memory
+ * cannot be allocated (nothing is stepped).
+ *
+ * A step makes two passes over the nodes.  The first forms each node's b,
+ * clin and k2, finishes the undamped nodes and the damped ones at rest
+ * (b == 0), and queues every other damped node as a lane, with its Q in
+ * vn; solve_lanes then solves the lanes together, and the second pass
+ * finishes them in node order. */
 int64_t wavedecay_advance(double *up, double *uc, double *vp, double *vc,
                           const double *alpha, const double *aa, int64_t n2,
                           double dt, double dx, int64_t nsteps, int fam, double p, double q,
@@ -260,21 +293,29 @@ int64_t wavedecay_advance(double *up, double *uc, double *vp, double *vc,
     double two_dt = 2.0 * dt;
     double half_dt3 = 0.5 * dt2 * dt;
     double e0 = 0.0, e_floor = 0.0;
-    double *un, *vn;
-    int64_t k, i;
+    size_t ncols = samples ? 2 + 7 : 2; /* un, vn, sample's w */
+    double *un, *vn, *w;
+    struct lane *lanes;
+    int64_t *open;
+    int64_t k, i, j, nlanes;
 
     *node = -1;
     *b_fail = 0.0;
-    un = calloc((size_t)n2 * (samples ? 2 + 7 : 2), sizeof(double)); /* un, vn, sample's w */
+    /* per node: ncols doubles, a lane and an open-list entry */
+    un = calloc((size_t)n2, ncols * sizeof(double) + sizeof(struct lane) + sizeof(int64_t));
     if (un == NULL)
         return -1;
     vn = un + n2;
+    w = vn + n2;
+    lanes = (struct lane *)(un + ncols * (size_t)n2);
+    open = (int64_t *)(lanes + n2);
     if (samples) {
-        sample(up, uc, vp, vc, alpha, aa, n2, dt, dx, fam, p, q, s_sat, g_sat, vn + n2, samples);
+        sample(up, uc, vp, vc, alpha, aa, n2, dt, dx, fam, p, q, s_sat, g_sat, w, samples);
         e0 = samples[0];
         e_floor = floor_factor * e0;
     }
     for (k = 0; k < nsteps;) {
+        nlanes = 0;
         for (i = 1; i < n2 - 1; i++) {
             double lapu = (uc[i - 1] - 2.0 * uc[i] + uc[i + 1]) * inv_dx2;
             double lapv = (vc[i - 1] - 2.0 * vc[i] + vc[i + 1]) * inv_dx2;
@@ -288,17 +329,32 @@ int64_t wavedecay_advance(double *up, double *uc, double *vp, double *vc,
             double s;
             if (k2 == 0.0) {
                 s = b / clin;
+            } else if (b == 0.0) {
+                s = 0.0;
             } else {
-                s = solve_node(b, clin, k2, fam, p, q, s_sat, g_sat, tol, maxit);
-                if (isnan(s)) {
-                    *node = i;
-                    *b_fail = b;
-                    free(un);
-                    return k;
-                }
+                struct lane *L = lanes + nlanes++;
+                L->b = b;
+                L->clin = clin;
+                L->k2 = k2;
+                L->node = i;
+                vn[i] = Q;
+                continue;
             }
             un[i] = up[i] + two_dt * s;
             vn[i] = Q + dt2 * al * s;
+        }
+        solve_lanes(lanes, open, nlanes, fam, p, q, s_sat, g_sat, tol, maxit);
+        for (j = 0; j < nlanes; j++) {
+            double s = lanes[j].s;
+            i = lanes[j].node;
+            if (isnan(s)) {
+                *node = i;
+                *b_fail = lanes[j].b;
+                free(un);
+                return k;
+            }
+            un[i] = up[i] + two_dt * s;
+            vn[i] = vn[i] + dt2 * alpha[i] * s;
         }
         for (i = 1; i < n2 - 1; i++) {
             up[i] = uc[i];
@@ -309,8 +365,7 @@ int64_t wavedecay_advance(double *up, double *uc, double *vp, double *vc,
         k++;
         if (samples && (k % stride == 0 || k == nsteps)) {
             samples += 3;
-            sample(up, uc, vp, vc, alpha, aa, n2, dt, dx, fam, p, q, s_sat, g_sat, vn + n2,
-                   samples);
+            sample(up, uc, vp, vc, alpha, aa, n2, dt, dx, fam, p, q, s_sat, g_sat, w, samples);
             if (e0 > 0.0 && samples[0] < e_floor)
                 break;
         }

@@ -388,6 +388,92 @@ def test_node_solve_error_names_the_step(monkeypatch, damped_cfg):
     assert len(set(messages)) == 1, messages
 
 
+def _step_reference(st, law, maxit):
+    """One step of the reference from the state st, in place."""
+    return _kernels._advance_scalar(st.u_prev, st.u_curr, st.v_prev, st.v_curr, st.alpha, st.a,
+                                    st.dt, st.dx, 1, law.code, law.p, law.q, law.s_sat, law.g_sat,
+                                    1e-13, maxit, 1, None, 0.0)
+
+
+def _wide_failure_cfg(cfg):
+    """cfg from a faint standing mode with v at rest: with the node solve cut
+    off after one iteration, 15 damped nodes fail together in step 18, the
+    lowest at padded node 43, inside the fourth chunk of cfg's stride 5."""
+    return dataclasses.replace(cfg, u0="sine:1:1e-6", v0="zero")
+
+
+@needs_cc
+def test_backend_failure_report_several_nodes(monkeypatch, damped_cfg):
+    """Where several damped nodes fail in one step, the C loop, which solves
+    them together, reports the lowest one and its b, where the reference's
+    node loop stops; the state stays at the last completed step and the
+    samples at the last whole chunk."""
+    cfg = _wide_failure_cfg(damped_cfg)
+    st1, rep1, samples1 = _run_kernel(_kernels._advance_scalar, cfg, 50, maxit=1, stride=5)
+    st2, rep2, samples2 = _run_kernel(_compiled_step(), cfg, 50, maxit=1, stride=5)
+    assert rep1[:2] == rep2[:2] == (18, 43)
+    assert float(rep1[2]) == rep2[2]
+    assert _same_state(st1, st2)
+    assert samples1.tobytes() == samples2.tobytes()
+    assert not np.isnan(samples1[:4]).any() and np.isnan(samples1[4:]).all()
+
+    # step 18 of the reference again, recording the b of every failing solve
+    # in node order and finishing it with the full iteration budget
+    failed = []
+    solve = _kernels._solve_node
+
+    def record(b, *args):
+        s = solve(b, *args)
+        if math.isnan(s):
+            failed.append(b)
+            s = solve(b, *args[:-1], 200)
+        return s
+
+    monkeypatch.setattr(_kernels, "_solve_node", record)
+    assert _step_reference(st1, cfg.law, 1) == (1, -1, 0.0)
+    assert len(failed) == 15 and len(set(failed)) == 15
+    assert failed[0] == rep2[2]
+
+
+def _lane_exit_cfg(cfg):
+    """cfg's fields, v at rest, u at rest but for two velocity bumps inside
+    the damped region (0.2, 0.6): a faint one, whose speeds stay below the
+    node solve's tol, and one beyond s_sat = 1."""
+    return dataclasses.replace(cfg, u0="zero", u1="bump:0.3:0.4:1e-13+bump:0.45:0.55:3.0",
+                               v0="zero")
+
+
+@needs_cc
+def test_lanes_leave_the_lockstep_at_different_iterates(monkeypatch, damped_cfg):
+    """The C loop against its reference at every step, state and samples bit
+    for bit, from a start whose steps mix damped nodes at rest (b = 0),
+    saturated nodes (|s| > s_sat) and, with the linear law, bracket-width
+    exits of the node solve, so the lanes of one step finish at different
+    iterates."""
+    linear = dataclasses.replace(_lane_exit_cfg(damped_cfg), law=wd.make_feedback("linear"))
+    cases = {"lane exits linear": (linear, 300, 1),
+             "lane exits cubic": (_lane_exit_cfg(damped_cfg), 300, 1)}
+    _assert_equivalent(cases, _compiled_step())
+
+    # the first step of the linear case meets all three kinds of solve
+    kinds = set()
+    solve = _kernels._solve_node
+
+    def record(b, clin, k2, fam, p, q, s_sat, g_sat, tol, maxit):
+        s = solve(b, clin, k2, fam, p, q, s_sat, g_sat, tol, maxit)
+        if b == 0.0:
+            kinds.add("rest")
+        elif abs(s) > s_sat:
+            kinds.add("saturated")
+        elif s == 0.5 * (b / clin):  # the midpoint of the first bracket, (0, b / clin)
+            kinds.add("bracket width")
+        return s
+
+    monkeypatch.setattr(_kernels, "_solve_node", record)
+    _step_reference(wd.init_state(linear), linear.law, 200)
+    assert kinds == {"rest", "saturated", "bracket width"}
+
+
 def test_ghat_np_matches_reference():
     """ghat_np, which the start state and the E1 and dissipation samples use,
     equals `_ghat` on each element bit for bit for every law family: on
