@@ -17,6 +17,8 @@ Sections (all optional except [law]):
 
 The envelopes' constants (beta, M, and the lower envelope's T0 and
 constant) have no keys: every run calibrates them from its trace.
+[law] eps_clip is still accepted and validated (0 < eps_clip < r0^2), but
+no result reads it: the limit of Lambda at 0 is in closed form.
 Unknown sections or keys, and values that do not parse, are rejected as
 ConfigError so typos fail loudly.
 """

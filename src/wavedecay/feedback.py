@@ -13,9 +13,11 @@ its derivative H', and the classification ratio
 whose behaviour as x -> 0+ separates laws that are close to linear
 (Lambda -> 1) from the rest.  g and its odd extension ghat are the
 simulation kernel's scalar functions (`_kernels._g`, `_kernels._ghat`).
-H' and Lambda use per-family closed forms; the quotient definition of
-Lambda is algebraically simplified per family so it stays finite where H
-itself underflows.
+Each family states its growth once more, as the elasticity
+e(s) = s g'(s) / g(s) at s = sqrt(x) (`elasticity`): Lambda = 2/(1 + e),
+its limit at 0 is 2/(1 + e(0+)), and the Newton slopes of `transforms`
+are formed from e and s e'.  Only H' keeps a closed form per family, the
+one that holds its relative precision where g or H' is tiny.
 """
 
 from __future__ import annotations
@@ -42,11 +44,13 @@ class LawError(ValueError):
 class FeedbackLaw:
     """A damping growth law with its convexity interval.
 
-    p, q are the family exponents (unused slots are 0), r0 is the right
-    endpoint of the interval on which g is taken strictly increasing, and
-    eps_clip is the floor used when sampling toward 0.  s_sat and g_sat
-    describe the saturation point of the concrete damping function: the
-    odd extension of g is continued linearly beyond s_sat = min(1, r0).
+    p, q are the family exponents (unused slots are 0) and r0 is the right
+    endpoint of the interval on which g is taken strictly increasing.
+    s_sat and g_sat describe the saturation point of the concrete damping
+    function: the odd extension of g is continued linearly beyond
+    s_sat = min(1, r0).  eps_clip is still accepted and validated
+    (0 < eps_clip < r0^2) and is part of the law's identity, but no result
+    reads it: Lambda's limit is in closed form (`lambda_limit`).
     """
 
     family: str
@@ -84,8 +88,9 @@ _DEFAULT_R0 = {
 def _convex_r0_bound(family: str, p: float, q: float) -> float | None:
     """Right edge of the interval where H is strictly convex, as an r0 bound.
 
-    In the variable ell = log(1/sqrt(x)) the sign of H'' reduces to a scalar
-    inequality; the threshold ell* gives the bound r0 <= exp(-ell*).
+    In the variable ell = log(1/sqrt(x)) the sign of H'', that of
+    (e^2 - 1) + s e' (`elasticity`), reduces to a scalar inequality; the
+    threshold ell* gives the bound r0 <= exp(-ell*).
     Returns None for families convex on all of (0, 1] or with an x-space
     threshold above 1 (power: always; linear: never convex anyway).
     """
@@ -222,69 +227,52 @@ def eval_H_prime(law: FeedbackLaw, x: float) -> float:
     return val * (1.0 + p * ell ** (p - 1.0))
 
 
-def _eval_H_second(law: FeedbackLaw, x: float) -> float:
-    """Closed-form H''(x) on (0, r0^2]: the slope of the Newton iterations
-    in `transforms`.  Each factored form is the one whose sign
-    `_convex_r0_bound` reads."""
-    r2 = law.r0**2
-    if x <= 0.0 or x > r2 * (1.0 + 1e-12):
-        raise LawError(f"H'' domain is (0, {r2}], got {x}")
+def elasticity(law: FeedbackLaw, x: float) -> tuple[float, float]:
+    """The pair (e, s e'(s)) of the elasticity e(s) = s g'(s) / g(s) at
+    s = sqrt(x), for 0 < x <= r0^2 (not checked), with ell = log(1/s):
+
+      linear            e = 1                  s e' = 0
+      power             e = p                  s e' = 0
+      exp_inv_square    e = 2/x                s e' = -4/x
+      power_log         e = p - q/ell          s e' = -q/ell^2
+      sub_exponential   e = p ell^(p-1)        s e' = -p (p-1) ell^(p-2)
+
+    Lambda = 2/(1 + e) and x H''/H' = ((e - 1) + s e'/(1 + e)) / 2 follow
+    from it, so H'' > 0 exactly where (e^2 - 1) + s e' > 0, the inequality
+    `_convex_r0_bound` solves.
+    """
     fam, p, q = law.family, law.p, law.q
     if fam == "linear":
-        return 0.0
+        return 1.0, 0.0
     if fam == "power":
-        return 0.25 * (p * p - 1.0) * x ** (0.5 * (p - 3.0))
+        return p, 0.0
     if fam == "exp_inv_square":
-        e = math.exp(-1.0 / x)
-        if e == 0.0:  # as in eval_H_prime
-            return 0.0
-        w = 1.0 / x
-        return e / math.sqrt(x) * w * (w * w - w - 0.25)
+        return 2.0 / x, -4.0 / x
     ell = math.log(1.0 / math.sqrt(x))
     if fam == "power_log":
-        m = 0.5 * (p + 1.0)
-        poly = m * (m - 1.0) * ell * ell - (m * q - 0.5 * q) * ell + 0.25 * q * (q - 1.0)
-        return x ** (m - 2.0) * ell ** (q - 2.0) * poly
+        return p - q / ell, -q / (ell * ell)
     # sub_exponential; ell = 0 at x = 1, and not below it
     ell = max(ell, 0.0)
-    poly = p * p * ell ** (2.0 * (p - 1.0)) - p * (p - 1.0) * ell ** (p - 2.0) - 1.0
-    return 0.25 * math.exp(-(ell**p)) * x**-1.5 * poly
+    return p * ell ** (p - 1.0), -p * (p - 1.0) * ell ** (p - 2.0)
 
 
 def lambda_H(law: FeedbackLaw, x: float) -> float:
-    """Lambda(x) = H(x) / (x H'(x)) on (0, r0^2], via the simplified quotient."""
+    """Lambda(x) = H(x) / (x H'(x)) = 2 / (1 + e(sqrt x)) on (0, r0^2]."""
     r2 = law.r0**2
     if x <= 0.0 or x > r2 * (1.0 + 1e-12):
         raise LawError(f"Lambda domain is (0, {r2}], got {x}")
-    fam, p, q = law.family, law.p, law.q
-    if fam == "linear":
-        return 1.0
-    if fam == "power":
-        return 2.0 / (p + 1.0)
-    if fam == "exp_inv_square":
-        return 1.0 / (0.5 + 1.0 / x)
-    ell = math.log(1.0 / math.sqrt(x))
-    if fam == "power_log":
-        return 2.0 / (p + 1.0 - q / ell)
-    # sub_exponential
-    return 2.0 / (1.0 + p * ell ** (p - 1.0))
+    return 2.0 / (1.0 + elasticity(law, x)[0])
 
 
-def deepest_samples(law: FeedbackLaw) -> list[float]:
-    """The ten deepest distinct points of x_k = r0^2 * 2^-k, k <= 60, floored
-    at eps_clip: where the limits of Lambda as x -> 0+ are estimated."""
-    r2 = law.r0**2
-    xs: list[float] = []
-    for k in range(61):
-        x = max(r2 * 2.0**-k, law.eps_clip)
-        if not xs or x != xs[-1]:
-            xs.append(x)
-    return xs[-10:]
+# e(0+), the elasticity's limit as x -> 0+, of the families where it is not p
+_ELASTICITY_AT_0 = {"linear": 1.0, "exp_inv_square": math.inf, "sub_exponential": math.inf}
 
 
 def lambda_limit(law: FeedbackLaw) -> float:
-    """Estimate of limsup_{x->0+} Lambda(x): the max over `deepest_samples`."""
-    return max(lambda_H(law, x) for x in deepest_samples(law))
+    """lim_{x->0+} Lambda(x) = 2 / (1 + e(0+)): 1 for the linear law,
+    2/(p+1) for power and power_log, 0 for exp_inv_square and
+    sub_exponential."""
+    return 2.0 / (1.0 + _ELASTICITY_AT_0.get(law.family, law.p))
 
 
 @dataclass(frozen=True)

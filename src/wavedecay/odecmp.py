@@ -20,7 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .feedback import FeedbackLaw, deepest_samples, eval_H, eval_H_prime, lambda_H
+from .feedback import FeedbackLaw, eval_H, eval_H_prime, lambda_limit
+from .feedback import lambda_H  # noqa: F401  (a binding site perfbench/tracing.py wraps)
 from .numutil import adaptive_simpson, bisect_root
 from .transforms import DecayEnvelope, TransformError, _away_from_linear, _c0, hprime_inv
 
@@ -149,19 +150,16 @@ def hfl_screen(law: FeedbackLaw) -> bool:
     away from 0 there.
 
     A law away from linear growth (the upper envelopes' test,
-    transforms._away_from_linear) passes when the least Lambda over
-    `deepest_samples` exceeds 1e-3.  Otherwise the integral alternative
+    transforms._away_from_linear) passes when the limit of Lambda at 0
+    (`lambda_limit`) exceeds 1e-3.  Otherwise the integral alternative
     decides, with no quadrature: for H increasing and 2x <= r0^2/2,
-    1/H >= 1/H(2x) on [x, 2x], so phi(x) >= (H(2x)/(2x)) x/H(2x) = 1/2 at
-    every sample point r0^2/4, r0^2/8, ... above eps_clip where H is
-    resolvable (> 1e-280).  The first point decides whether there is one.
+    1/H >= 1/H(2x) on [x, 2x], so phi(x) >= (H(2x)/(2x)) x/H(2x) = 1/2
+    at every x <= r0^2/4, and the law passes where H is resolvable
+    (> 1e-280) at the first of them, x = r0^2/4.
     """
     if not _away_from_linear(law):
         return False
-    if min(lambda_H(law, x) for x in deepest_samples(law)) > 1e-3:
-        return True
-    x = law.r0**2 / 4.0
-    return law.eps_clip < x and eval_H(law, x) > 1e-280
+    return lambda_limit(law) > 1e-3 or eval_H(law, law.r0**2 / 4.0) > 1e-280
 
 
 def lower_envelope(env: DecayEnvelope, t: float) -> float:

@@ -71,6 +71,8 @@ def parse_profile(text: str):
                 raise SimError(f"sine profile needs integer K, numeric AMP: {atom!r}") from None
             if k < 1:
                 raise SimError("sine mode index must be >= 1")
+            if not math.isfinite(amp):
+                raise SimError(f"sine profile needs a finite AMP: {atom!r}")
             parts.append(lambda x, k=k, amp=amp: amp * np.sin(k * math.pi * x))
         elif kind == "bump":
             if len(fields) != 4:
@@ -79,6 +81,8 @@ def parse_profile(text: str):
                 lo, hi, amp = float(fields[1]), float(fields[2]), float(fields[3])
             except ValueError:
                 raise SimError(f"bump profile needs numeric L, R, AMP: {atom!r}") from None
+            if not all(map(math.isfinite, (lo, hi, amp))):
+                raise SimError(f"bump profile needs finite L, R, AMP: {atom!r}")
             if not (0.0 < lo < hi < 1.0):
                 raise SimError("bump support must lie strictly inside (0,1) (zero boundary)")
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from collections.abc import Callable
 
-from .feedback import FeedbackLaw, _eval_H_second, eval_H, eval_H_prime, lambda_H, lambda_limit
+from .feedback import FeedbackLaw, elasticity, eval_H, eval_H_prime, lambda_H, lambda_limit
 from .numutil import adaptive_simpson, bisect_root, newton_root
 from .numutil import invert_increasing  # noqa: F401  (a binding site perfbench/tracing.py wraps)
 
@@ -92,13 +92,15 @@ def hprime_inv(law: FeedbackLaw, y: float) -> float:
     """(H')^{-1}(y) on [0, H'(r0^2)].
 
     Power laws have a closed form.  For the other families x = e^w, with w
-    the root of log H'(e^w) - log y (slope x H''/H'), found by safeguarded
-    Newton from w = log r0^2 to 1e-12 in w, i.e. to 1e-12 relative in x.
+    the root of log H'(e^w) - log y, found by safeguarded Newton from
+    w = log r0^2 to 1e-12 in w, i.e. to 1e-12 relative in x.
     The lower end of the bracket lies where e^w underflows and H' = 0, so
     the bisection steps halve w, not x: a root at x = 1e-300 is as near in
     steps as one at 1e-3, and H'(x) = y holds to better than 1e-12
     relative for every root that is a normal double (a root below that
-    comes back as 0 or a subnormal).  An iterate where H' underflows is a bisection step.
+    comes back as 0 or a subnormal).  The slope x H''/H' is ((e - 1) +
+    s e'/(1 + e))/2, from the law's `elasticity`; an iterate where H'
+    underflows is a bisection step.
     """
     c0 = _c0(law)
     if y < 0.0 or y > c0 * (1.0 + 1e-12):
@@ -120,39 +122,39 @@ def hprime_inv(law: FeedbackLaw, y: float) -> float:
         hp = eval_H_prime(law, x)
         if hp <= 0.0:
             return -math.inf, math.nan
-        return math.log(hp) - log_y, x * _eval_H_second(law, x) / hp
+        e, se = elasticity(law, x)
+        return math.log(hp) - log_y, 0.5 * ((e - 1.0) + se / (1.0 + e))
 
     w_edge = math.log(law.r0**2)
     return math.exp(newton_root(log_gap, _LOG_X_FLOOR, w_edge, w_edge, rtol=0.0, xtol=1e-12))
 
 
 def conjugate(law: FeedbackLaw, y: float) -> float:
-    """Convex conjugate of H restricted to [0, r0^2], evaluated at y >= 0.
-
-    For 0 <= y <= H'(r0^2) the supremum is interior at (H')^{-1}(y); beyond
-    that it sits at the right endpoint.
-    """
+    """Convex conjugate of H restricted to [0, r0^2], evaluated at y >= 0:
+    y L(y)."""
     if y < 0.0:
         raise TransformError("conjugate requires y >= 0")
-    if y == 0.0:
-        return 0.0
-    r2 = law.r0**2
-    if law.family == "linear" or (law.family == "power" and law.p == 1.0):
-        return r2 * (y - 1.0) if y > 1.0 else 0.0
-    c0 = _c0(law)
-    if y >= c0:
-        return y * r2 - _H_edge(law)
-    x_star = hprime_inv(law, y)
-    return y * x_star - eval_H(law, x_star)
+    return y * eval_L(law, y)
 
 
 def eval_L(law: FeedbackLaw, y: float) -> float:
-    """L(y) = conjugate(y) / y for y > 0, L(0) = 0; increasing onto [0, r0^2)."""
+    """L(y) = Hhat*(y) / y for y > 0, L(0) = 0; increasing onto [0, r0^2).
+
+    Below H'(r0^2) the supremum of x y - H(x) is interior at x = (H')^{-1}(y),
+    where L = x (1 - Lambda(x)), no difference of nearly equal terms (and 0
+    for the linear law and power p = 1, whose H' is constant); from H'(r0^2)
+    on it sits at x = r0^2, where L = (y r0^2 - H(r0^2)) / y.
+    """
     if y < 0.0:
         raise TransformError("L requires y >= 0")
     if y == 0.0:
         return 0.0
-    return conjugate(law, y) / y
+    if y >= _c0(law):
+        return (y * law.r0**2 - _H_edge(law)) / y
+    if law.family == "linear" or (law.family == "power" and law.p == 1.0):
+        return 0.0
+    x = hprime_inv(law, y)
+    return x * (1.0 - lambda_H(law, x)) if x > 0.0 else 0.0
 
 
 @lru_cache(maxsize=None)
@@ -168,13 +170,14 @@ def inverse_L(law: FeedbackLaw, z: float) -> float:
 
     Beyond H'(r0^2), L(y) = r0^2 - H(r0^2)/y is inverted in closed form (this
     covers all z > 0 for the linear law, where L(H'(r0^2)) = 0).  Below it,
-    L(H'(x)) = x (1 - Lambda(x)) rises with x, with slope H H''/H'^2 =
-    Lambda x H''/H'.  As in hprime_inv, x = e^w: safeguarded Newton finds
-    the root of log(x (1 - Lambda)) - log z, slope Lambda x H''/(H' (1 -
-    Lambda)), from w = log r0^2 to 1e-12 in w (1e-12 relative in x) on
-    hprime_inv's bracket, and an iterate where H' underflows is a bisection
-    step.  y = H'(x) keeps its relative precision where H' is tiny
-    (exp_inv_square at moderate z), and is 0 where H' underflows.
+    L(H'(x)) = x (1 - Lambda(x)) = x (e - 1)/(e + 1) rises with x, e the
+    law's `elasticity` at sqrt(x).  As in hprime_inv, x = e^w: safeguarded
+    Newton finds the root of w + log(1 - Lambda) - log z, slope
+    1 + s e'/(e^2 - 1), from w = log r0^2 to 1e-12 in w (1e-12 relative in
+    x) on hprime_inv's bracket.  The iterates evaluate neither H' nor H'',
+    so Newton's steps hold where H' underflows; y = H'(x) keeps its
+    relative precision where H' is tiny (exp_inv_square at moderate z), and
+    is 0 where H' underflows.
     """
     r2 = law.r0**2
     if z < 0.0 or z >= r2:
@@ -187,13 +190,13 @@ def inverse_L(law: FeedbackLaw, z: float) -> float:
 
     def log_gap(w: float) -> tuple[float, float]:
         x = math.exp(w)
-        lam = lambda_H(law, x) if x > 0.0 else 0.0
-        L = x * (1.0 - lam)
-        if L <= 0.0:
+        if x <= 0.0:
             return -math.inf, math.nan
-        hp = eval_H_prime(law, x)
-        slope = lam * x * _eval_H_second(law, x) / (hp * (1.0 - lam)) if hp > 0.0 else math.nan
-        return math.log(L) - log_z, slope
+        e, se = elasticity(law, x)
+        rest = 1.0 - 2.0 / (1.0 + e)  # 1 - Lambda = (e - 1)/(e + 1), 1 where e overflows
+        if rest <= 0.0:
+            return -math.inf, math.nan
+        return w + math.log(rest) - log_z, 1.0 + se / ((e - 1.0) * (e + 1.0))
 
     w_edge = math.log(r2)
     x = math.exp(newton_root(log_gap, _LOG_X_FLOOR, w_edge, w_edge, rtol=0.0, xtol=1e-12))

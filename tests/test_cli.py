@@ -261,3 +261,17 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("amp", ["nan", "inf"])
+def test_non_finite_profile_exit_code(amp, tmp_path, capsys):
+    # a NaN or infinite amplitude fails as a config error, not in the node solve
+    cp = configparser.ConfigParser()
+    cp.read(CONFIGS / "cubic_damping.ini")
+    cp["initial"]["u0"] = f"sine:1:{amp}"
+    bad = tmp_path / "bad.ini"
+    with open(bad, "w") as fh:
+        cp.write(fh)
+    assert main(["simulate", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "finite AMP" in err

@@ -1,11 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import wavedecay as wd
-from wavedecay.feedback import LawError, _eval_H_second
+from wavedecay.feedback import LawError, _convex_r0_bound, elasticity
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +106,44 @@ def test_H_prime_matches_finite_difference(law_kwargs):
     ],
 )
 def test_H_second_matches_finite_difference(law_kwargs):
+    """x H''/H' = ((e - 1) + s e'/(1 + e))/2, the Newton slope of (H')^{-1}
+    in log x, against central differences of log H' in log x (one-sided at
+    the domain's right end), wherever H' is a normal double at every point
+    of the difference (exp_inv_square's H' underflows below x ~ 1.4e-3)."""
     law = wd.make_feedback(**law_kwargs)
     r2 = law.r0**2
-    hp = lambda v: wd.eval_H_prime(law, v)
+    log_hp = lambda w: math.log(wd.eval_H_prime(law, math.exp(w)))
+    h = 1e-5
+    checked = 0
     for x in r2 * np.logspace(-3.0, 0.0, 121)[1:]:
-        h = x * 1e-6
-        if x + h <= r2:
-            fd = (hp(x + h) - hp(x - h)) / (2.0 * h)
-        else:  # the domain's right end: the one-sided second-order difference
-            fd = (3.0 * hp(x) - 4.0 * hp(x - h) + hp(x - 2.0 * h)) / (2.0 * h)
-        assert _eval_H_second(law, x) == pytest.approx(fd, rel=1e-6, abs=0.0), x
+        w = math.log(x)
+        if wd.eval_H_prime(law, x * math.exp(-2.0 * h)) < sys.float_info.min:
+            continue
+        checked += 1
+        if x * math.exp(h) <= r2:
+            fd = (log_hp(w + h) - log_hp(w - h)) / (2.0 * h)
+        else:
+            fd = (3.0 * log_hp(w) - 4.0 * log_hp(w - h) + log_hp(w - 2.0 * h)) / (2.0 * h)
+        e, se = elasticity(law, x)
+        assert 0.5 * ((e - 1.0) + se / (1.0 + e)) == pytest.approx(fd, rel=1e-6, abs=0.0), x
+    assert checked >= 60
+
+
+@pytest.mark.parametrize(
+    "family, p, q",
+    [("power_log", p, q) for p, q in ((2.5, 1.5), (3.0, 2.0), (4.0, 3.0), (6.0, 1.2), (3.0, 5.0))]
+    + [("exp_inv_square", 0.0, 0.0)]
+    + [("sub_exponential", p, 0.0) for p in (2.5, 3.0, 4.0, 8.0)],
+)
+def test_convexity_edge_matches_elasticity(family, p, q):
+    """H'' > 0 exactly where (e^2 - 1) + s e' > 0: the elasticity changes
+    sign just at `_convex_r0_bound`'s edge, the family's other statement of
+    its growth."""
+    bound = _convex_r0_bound(family, p, q)
+    law = wd.make_feedback(family, p=p or None, q=q or None)
+    for r0, convex in ((bound * (1.0 - 1e-8), True), (bound * (1.0 + 1e-8), False)):
+        e, se = elasticity(law, r0 * r0)
+        assert ((e * e - 1.0) + se > 0.0) == convex, r0
 
 
 def test_nonlinear_families_vanish_at_zero():
@@ -177,11 +206,17 @@ def test_lambda_in_unit_interval_other_families(exp_inv):
 
 
 def test_lambda_limit_power(power3):
-    assert wd.lambda_limit(power3) == pytest.approx(0.5, abs=1e-8)
+    assert wd.lambda_limit(power3) == 0.5
+    assert wd.lambda_limit(wd.make_feedback("power", p=1.5)) == 0.8
 
 
 def test_lambda_limit_exp_inv_square(exp_inv):
-    assert wd.lambda_limit(exp_inv) < 1e-6
+    assert wd.lambda_limit(exp_inv) == 0.0
+
+
+def test_lambda_limit_sub_exponential():
+    for p in (2.5, 3.0, 8.0):
+        assert wd.lambda_limit(wd.make_feedback("sub_exponential", p=p)) == 0.0
 
 
 def test_lambda_limit_linear(linear_law):
@@ -189,13 +224,9 @@ def test_lambda_limit_linear(linear_law):
 
 
 def test_lambda_limit_power_log():
-    # the geometric schedule floored at eps_clip stops at x ~ 1e-16 where
-    # Lambda still carries its O(1/log(1/x)) correction; the limit 2/(p+1)
-    # is approached only to that truncation accuracy
-    law = wd.make_feedback("power_log", p=3.0, q=2.0)
-    est = wd.lambda_limit(law)
-    assert est > 0.5
-    assert est == pytest.approx(0.5, abs=0.02)
+    # 2/(p+1) exactly, though Lambda at x = 1e-16 still carries its
+    # O(1/log(1/x)) correction (about 0.51 there)
+    assert wd.lambda_limit(wd.make_feedback("power_log", p=3.0, q=2.0)) == 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,15 @@ def test_profile_parsing_and_boundary(power3):
         parse_profile("sine:0:1.0")
 
 
+@pytest.mark.parametrize("text", [
+    "sine:1:nan", "sine:1:inf", "sine:1:-inf",
+    "bump:0.3:0.5:nan", "bump:0.3:0.5:inf", "bump:nan:0.5:1.0", "bump:0.3:inf:1.0",
+])
+def test_profile_rejects_non_finite_numbers(text):
+    with pytest.raises(SimError, match="finite"):
+        parse_profile(text)
+
+
 def test_alpha_smallness_guard(power3):
     cfg = wd.SimConfig(
         law=power3,

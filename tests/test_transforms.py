@@ -143,21 +143,38 @@ def test_hprime_inv_against_bisection(name):
 @pytest.mark.parametrize("name", sorted(NEWTON_LAWS) + ["power"])
 def test_inverse_L_roundtrip_to_tiny_z(name):
     """L(inverse_L(z)) = z to 1e-12 relative for z in tenths of a decade
-    from L(H'(r0^2)) down to 1e-100, wherever y = inverse_L(z) and the
-    conjugate y z that eval_L forms are normal doubles.  Below that y
-    underflows (exp_inv_square, sub_exponential) and comes back as 0 or a
-    subnormal, not as a RootError."""
+    from L(H'(r0^2)) down to 1e-100, wherever y = inverse_L(z) is a normal
+    double.  Below that y underflows (exp_inv_square, sub_exponential) and
+    comes back as 0 or a subnormal, not as a RootError."""
     law = wd.make_feedback(**NEWTON_LAWS.get(name, dict(family="power", p=3.0, r0=1.0)))
     z_edge = transforms._L_edge(law)
     zs = [z_edge * 10.0 ** (-k / 10) for k in range(1, 1010)]
     normal = 0
     for z in [z for z in zs if z >= 1e-100]:
         y = wd.inverse_L(law, z)
-        if y * z < sys.float_info.min:  # y z <= y, so y is normal too
+        if y < sys.float_info.min:
             continue
         normal += 1
         assert wd.eval_L(law, y) / z == pytest.approx(1.0, rel=1e-12, abs=0.0), (z, y)
     assert normal >= 10
+
+
+@pytest.mark.parametrize("kwargs", [dict(family="exp_inv_square"), dict(family="sub_exponential", p=8.0)])
+def test_inverse_L_keeps_newton_steps_where_H_prime_underflows(kwargs, monkeypatch):
+    """inverse_L's iterates read only the elasticity, so its Newton steps
+    hold where H' underflows at the root, where bisection in log x would
+    take about 45 evaluations."""
+    law = wd.make_feedback(**kwargs)
+    calls = []
+
+    def counted(f, *args, **kw):
+        return newton_root(lambda w: calls.append(w) or f(w), *args, **kw)
+
+    monkeypatch.setattr(transforms, "newton_root", counted)
+    for z in (1e-3, 1e-4, 1e-8):
+        calls.clear()
+        assert wd.inverse_L(law, z) == 0.0  # H' underflows at the root
+        assert 0 < len(calls) <= 8, (z, len(calls))
 
 
 def test_root_solve_out_of_iterations_raises():
