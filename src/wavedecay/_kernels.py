@@ -94,15 +94,13 @@ def _g(a, fam, p, q, slope=False):
         ell = math.log(1.0 / a)
         lq = ell**q
         return (ap * lq, ap / a * (lq / ell) * (p * ell - q)) if slope else ap * lq
-    if a >= 1.0:  # log(1/a)**p would be complex for a > 1
-        return (1.0, 0.0) if slope else 1.0
-    ell = math.log(1.0 / a)
+    ell = math.log(1.0 / a)  # a <= r0 < 1 (`feedback.make_feedback`), so ell > 0
     lp = ell**p
     v = math.exp(-lp)
     if not slope:
         return v
-    # 0 also where v underflows: below 1/DBL_MAX, lp / ell is inf / inf
-    return v, (0.0 if ell <= 0.0 or v == 0.0 else v * p * (lp / ell) / a)
+    # 0 where v underflows: below 1/DBL_MAX, lp / ell is inf / inf
+    return v, (0.0 if v == 0.0 else v * p * (lp / ell) / a)
 
 
 def _ghat(s, fam, p, q, s_sat, g_sat, slope=False):

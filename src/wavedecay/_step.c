@@ -67,17 +67,12 @@ static double g(double a, int fam, double p, double q, double *slope)
             *slope = ap / a * (lq / ell) * (p * ell - q);
         return ap * lq;
     }
-    if (a >= 1.0) { /* log(1/a)**p would be complex for a > 1 */
-        if (slope)
-            *slope = 0.0;
-        return 1.0;
-    }
-    ell = log(1.0 / a);
+    ell = log(1.0 / a); /* a <= r0 < 1, so ell > 0 */
     lp = pow(ell, p);
     v = exp(-lp);
-    /* 0 also where v underflows: below 1/DBL_MAX, lp / ell is inf / inf */
+    /* 0 where v underflows: below 1/DBL_MAX, lp / ell is inf / inf */
     if (slope)
-        *slope = ell <= 0.0 || v == 0.0 ? 0.0 : v * p * (lp / ell) / a;
+        *slope = v == 0.0 ? 0.0 : v * p * (lp / ell) / a;
     return v;
 }
 

@@ -2,7 +2,10 @@
 
 Sections (all optional except [law]):
 
-  [law]           family, p, q, r0, eps_clip
+  [law]           family, r0, eps_clip, and the family's exponents:
+                  none for linear and exp_inv_square, p for power and
+                  sub_exponential, p and q for power_log; another
+                  exponent is a ConfigError (`feedback.make_feedback`)
   [coefficients]  alpha_profile, alpha_support, alpha_floor, a_profile,
                   a_support, a_floor, alpha_max
   [grid]          n, cfl

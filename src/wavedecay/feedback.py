@@ -23,6 +23,7 @@ one that holds its relative precision where g or H' is tiny.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +46,10 @@ class FeedbackLaw:
     """A damping growth law with its convexity interval.
 
     p, q are the family exponents (unused slots are 0) and r0 is the right
-    endpoint of the interval on which g is taken strictly increasing.
-    s_sat and g_sat describe the saturation point of the concrete damping
-    function: the odd extension of g is continued linearly beyond
-    s_sat = min(1, r0).  eps_clip is still accepted and validated
+    endpoint of the interval [0, r0^2] on which H is strictly convex, with
+    0 < r0 <= 1.  s_sat and g_sat describe the saturation point of the
+    concrete damping function: the odd extension of g is continued linearly
+    beyond s_sat = r0.  eps_clip is still accepted and validated
     (0 < eps_clip < r0^2) and is part of the law's identity, but no result
     reads it: Lambda's limit is in closed form (`lambda_limit`).
     """
@@ -68,20 +69,20 @@ class FeedbackLaw:
 
     def __repr__(self) -> str:  # compact, used in reports
         bits = [self.family]
-        if self.family in ("power", "power_log", "sub_exponential"):
-            bits.append(f"p={self.p:g}")
-        if self.family == "power_log":
-            bits.append(f"q={self.q:g}")
+        bits += [f"{name}={getattr(self, name):g}" for name in _LAWS[self.family][0]]
         bits.append(f"r0={self.r0:g}")
         return "FeedbackLaw(" + ", ".join(bits) + ")"
 
 
-_DEFAULT_R0 = {
-    "linear": 1.0,
-    "power": 1.0,
-    "exp_inv_square": 0.5,
-    "power_log": 0.5,
-    "sub_exponential": 0.5,
+# Each family's law, stated once: the exponents it takes, each with its least
+# value and whether that value is admitted, and its default r0.  make_feedback
+# checks every law against it and against `_convex_r0_bound`.
+_LAWS = {
+    "linear": ({}, 1.0),
+    "power": ({"p": (1.0, True)}, 1.0),
+    "exp_inv_square": ({}, 0.5),
+    "power_log": ({"p": (2.0, False), "q": (1.0, False)}, 0.5),
+    "sub_exponential": ({"p": (2.0, False)}, 0.5),
 }
 
 
@@ -90,7 +91,7 @@ def _convex_r0_bound(family: str, p: float, q: float) -> float | None:
 
     In the variable ell = log(1/sqrt(x)) the sign of H'', that of
     (e^2 - 1) + s e' (`elasticity`), reduces to a scalar inequality; the
-    threshold ell* gives the bound r0 <= exp(-ell*).
+    threshold ell* gives the bound r0 < exp(-ell*).
     Returns None for families convex on all of (0, 1] or with an x-space
     threshold above 1 (power: always; linear: never convex anyway).
     """
@@ -122,63 +123,58 @@ def make_feedback(
     r0: float | None = None,
     eps_clip: float = 1e-16,
 ) -> FeedbackLaw:
-    """Construct a growth law, validating the family parameter constraints.
+    """Construct a growth law, checking it against its family's statement.
 
-    Families (with g on (0, r0]):
+    Families (with g on (0, r0]) and the exponents each takes:
       linear            g(x) = x
       power             g(x) = x^p,                   p >= 1
       exp_inv_square    g(x) = exp(-1/x^2)
       power_log         g(x) = x^p * ln(1/x)^q,       p > 2, q > 1
       sub_exponential   g(x) = exp(-ln(1/x)^p),       p > 2
 
-    power_log additionally requires r0 < exp(-q/p) so that g is strictly
-    increasing on (0, r0].  Default r0 is 1 for linear/power and 0.5 for the
-    other families, shrunk when necessary so [0, r0^2] sits inside the
-    family's strict-convexity range (H'' > 0 has a computable threshold).
+    An exponent the family does not take is a LawError.  Every r0, default
+    or given, satisfies 0 < r0 <= 1 and lies below the family's convex bound
+    (`_convex_r0_bound`), so H is strictly convex on [0, r0^2] and g strictly
+    increasing on (0, r0], and g(r0) must not underflow to 0.  The default
+    r0 is 1 for linear and power and 0.5 for the other families, shrunk to
+    0.9 times the bound where 0.5 is not below it (power_log and
+    sub_exponential).  The saturation point s_sat is r0.
     """
     if family not in FAMILIES:
         raise LawError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    pv = 0.0 if p is None else float(p)
-    qv = 0.0 if q is None else float(q)
-    if not (math.isfinite(pv) and math.isfinite(qv)):
-        raise LawError(f"p and q must be finite, got p={pv!r}, q={qv!r}")
-    if family == "power":
-        if p is None or pv < 1.0:
-            raise LawError("power family requires p >= 1")
-    elif family == "power_log":
-        if p is None or q is None or pv <= 2.0 or qv <= 1.0:
-            raise LawError("power_log family requires p > 2 and q > 1")
-    elif family == "sub_exponential":
-        if p is None or pv <= 2.0:
-            raise LawError("sub_exponential family requires p > 2")
-    elif p is not None or q is not None:
-        if family == "linear" and p is not None:
-            raise LawError("linear family takes no exponent")
-        if family == "exp_inv_square" and (p is not None or q is not None):
-            raise LawError("exp_inv_square family takes no exponent")
+    takes, r0v = _LAWS[family]
+    values = {"p": p, "q": q}
+    for name, value in values.items():
+        if name not in takes:
+            if value is not None:
+                raise LawError(f"{family} family takes no {name}, got {name}={value!r}")
+            values[name] = 0.0
+            continue
+        least, admitted = takes[name]
+        v = math.nan if value is None else float(value)
+        if not (math.isfinite(v) and (v >= least if admitted else v > least)):
+            rule = f"{name} {'>=' if admitted else '>'} {least:g}"
+            raise LawError(f"{family} family requires a finite {rule}, got {name}={value!r}")
+        values[name] = v
+    pv, qv = values["p"], values["q"]
 
-    if r0 is None:
-        r0v = _DEFAULT_R0[family]
-        bound = _convex_r0_bound(family, pv, qv)
-        if bound is not None and r0v >= bound:
-            r0v = 0.9 * bound  # keep the default inside the convex range
-    else:
+    bound = _convex_r0_bound(family, pv, qv)
+    if r0 is not None:
         r0v = float(r0)
-        if not (0.0 < r0v <= 1.0):
-            raise LawError("r0 must lie in (0, 1]")
-        if family == "power_log" and r0v >= math.exp(-qv / pv):
-            raise LawError(
-                f"power_log with p={pv:g}, q={qv:g} needs r0 < exp(-q/p) = "
-                f"{math.exp(-qv / pv):.6g} for g to be increasing"
-            )
+    elif bound is not None and r0v >= bound:
+        r0v = 0.9 * bound  # keep the default inside the convex range
+    if not (0.0 < r0v <= 1.0 and (bound is None or r0v < bound)):
+        edge = "" if bound is None else f" and below {bound:.6g}, where H stops being convex"
+        raise LawError(f"{family} family requires r0 in (0, 1]{edge}, got r0={r0v!r}")
 
+    g_sat = _g(r0v, FAMILY_CODES[family], pv, qv)
+    if g_sat == 0.0:
+        raise LawError(f"{family} family: g underflows to 0 at r0={r0v!r}, so H is 0 on [0, r0^2]")
     if not 0.0 < eps_clip < r0v**2:
         raise LawError("eps_clip must lie in (0, r0^2)")
 
-    s_sat = min(1.0, r0v)
-    g_sat = _g(s_sat, FAMILY_CODES[family], pv, qv)
     return FeedbackLaw(
-        family=family, p=pv, q=qv, r0=r0v, eps_clip=eps_clip, s_sat=s_sat, g_sat=g_sat
+        family=family, p=pv, q=qv, r0=r0v, eps_clip=eps_clip, s_sat=r0v, g_sat=g_sat
     )
 
 
@@ -220,9 +216,6 @@ def eval_H_prime(law: FeedbackLaw, x: float) -> float:
     ell = math.log(1.0 / math.sqrt(x))
     if fam == "power_log":
         return 0.5 * x ** (0.5 * (p - 1.0)) * ell ** (q - 1.0) * ((p + 1.0) * ell - q)
-    # sub_exponential; at x = 1 the log factor vanishes and H'(1) = 1/2
-    if ell <= 0.0:
-        return 0.5
     val = math.exp(-(ell**p)) / (2.0 * math.sqrt(x))
     return val * (1.0 + p * ell ** (p - 1.0))
 
@@ -251,8 +244,6 @@ def elasticity(law: FeedbackLaw, x: float) -> tuple[float, float]:
     ell = math.log(1.0 / math.sqrt(x))
     if fam == "power_log":
         return p - q / ell, -q / (ell * ell)
-    # sub_exponential; ell = 0 at x = 1, and not below it
-    ell = max(ell, 0.0)
     return p * ell ** (p - 1.0), -p * (p - 1.0) * ell ** (p - 2.0)
 
 
@@ -289,9 +280,10 @@ def convexity_check(law: FeedbackLaw, samples: int = 10_000) -> ConvexityReport:
 
     Second differences are taken at uniformly spaced points; the verdict is
     strict positivity with no tolerance (scaled by step^2, so the reported
-    minimum approximates inf H'').  Triples whose values all underflow to 0
-    carry no information and are excluded from the count.  Also checks
-    H(0) = 0 and H'(0) = 0.
+    minimum approximates inf H'').  Triples with a value below the normal
+    range carry no information (a subnormal H is quantized to steps of
+    5e-324, so its second differences can be 0) and are excluded from the
+    count.  Also checks H(0) = 0 and H'(0) = 0.
     """
     if samples < 100:
         raise LawError("convexity_check requires at least 100 samples")
@@ -300,7 +292,7 @@ def convexity_check(law: FeedbackLaw, samples: int = 10_000) -> ConvexityReport:
     xs = np.linspace(h, r2, samples)
     hv = np.array([eval_H(law, float(x)) for x in xs])
     d2 = hv[2:] - 2.0 * hv[1:-1] + hv[:-2]
-    resolvable = hv[2:] > 0.0  # H is increasing: rightmost value 0 => all three 0
+    resolvable = hv[:-2] >= sys.float_info.min  # H is increasing: the leftmost is least
     d2 = d2[resolvable]
     if d2.size == 0:
         strictly = False

@@ -77,8 +77,6 @@ class IntegralCheck:
     ratios: np.ndarray
     tail: float
     tail_extrapolated: bool
-    passed: bool | None = None
-    M_bound: float | None = None
 
 
 def _dense_grid(horizon: float) -> np.ndarray:
@@ -118,7 +116,6 @@ def _power_tail(t, f, t_end):
 def check_integral_inequality(
     trace_or_function,
     weight,
-    M_bound: float | None = None,
     mode: str = "finite",
     horizon: float | None = None,
 ) -> IntegralCheck:
@@ -163,16 +160,12 @@ def check_integral_inequality(
     if not ratios:
         raise HarnessError("no start points with positive energy")
     ratios = np.array(ratios)
-    M = float(np.max(ratios))
-    passed = None if M_bound is None else bool(M <= M_bound)
     return IntegralCheck(
-        M=M,
+        M=float(np.max(ratios)),
         S_values=np.array(svals),
         ratios=ratios,
         tail=tail,
         tail_extrapolated=extrapolated,
-        passed=passed,
-        M_bound=M_bound,
     )
 
 

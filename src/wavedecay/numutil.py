@@ -85,13 +85,12 @@ def bisect_root(
     hi: float,
     xtol: float = 1e-12,
     max_iter: int = 200,
-    rtol: float = 0.0,
 ) -> float:
     """Root of f on [lo, hi] by bisection; f(lo) and f(hi) must not share sign.
 
     f may rise or fall.  The halving is newton_root's, given no slope, so it
-    stops as newton_root does once the bracket is at most xtol + rtol * |x|
-    wide, x the last midpoint, and raises RootError after max_iter halvings.
+    stops as newton_root does once the bracket is at most xtol wide, and
+    raises RootError after max_iter halvings.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -103,7 +102,7 @@ def bisect_root(
     sign = 1.0 if fhi > 0.0 else -1.0
     return newton_root(
         lambda x: (sign * f(x), math.nan), lo, hi, 0.5 * (lo + hi),
-        rtol=rtol, max_iter=max_iter, xtol=xtol,
+        rtol=0.0, max_iter=max_iter, xtol=xtol,
     )
 
 

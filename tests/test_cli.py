@@ -262,6 +262,14 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_exponent_the_family_does_not_take_exit_code(tmp_path, capsys):
+    # q changes nothing in a power law, so setting it is a config error
+    bad = tmp_path / "bad.ini"
+    bad.write_text(CONFIG.format(out=tmp_path / "out").replace("p = 3.0\n", "p = 3.0\nq = 7.0\n"))
+    assert main(["simulate", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "takes no q" in err
+
 
 @pytest.mark.parametrize("amp", ["nan", "inf"])
 def test_non_finite_profile_exit_code(amp, tmp_path, capsys):

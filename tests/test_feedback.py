@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import wavedecay as wd
-from wavedecay.feedback import LawError, _convex_r0_bound, elasticity
+from wavedecay._kernels import _g
+from wavedecay.feedback import FAMILY_CODES, LawError, _convex_r0_bound, elasticity
+from wavedecay.transforms import _away_from_linear
 
 
 # ---------------------------------------------------------------------------
@@ -38,6 +40,16 @@ def test_make_feedback_families():
         dict(family="linear", p=2.0),
         dict(family="power_log", p=3.0, q=2.0, r0=0.9),  # g not increasing there
         dict(family="power", p=2.0, eps_clip=0.0),
+        # an exponent the family does not take
+        dict(family="power", p=3.0, q=7.0),
+        dict(family="linear", q=2.0),
+        dict(family="sub_exponential", p=2.5, q=9.0),
+        # an explicit r0 at or beyond the convex bound
+        dict(family="sub_exponential", p=2.5, r0=1.0),
+        dict(family="exp_inv_square", r0=1.0),  # bound 0.910
+        dict(family="power_log", p=2.5, q=1.5, r0=0.3),  # bound 0.267
+        # g(r0) underflows to 0
+        dict(family="sub_exponential", p=8.0, r0=0.05),
     ],
 )
 def test_make_feedback_rejections(kwargs):
@@ -54,9 +66,8 @@ def test_H_power_closed_form(power3):
     assert wd.eval_H(power3, 0.0) == 0.0
 
 
-def test_H_exp_inv_square_value():
-    law = wd.make_feedback("exp_inv_square", r0=1.0)
-    assert wd.eval_H(law, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+def test_H_exp_inv_square_value(exp_inv):
+    assert wd.eval_H(exp_inv, 0.25) == pytest.approx(0.5 * math.exp(-4.0), rel=1e-12)
 
 
 def test_H_domain_errors(power3):
@@ -66,11 +77,10 @@ def test_H_domain_errors(power3):
         wd.eval_H(power3, 1.1)
 
 
-def test_H_prime_values(power3):
+def test_H_prime_values(power3, exp_inv):
     assert wd.eval_H_prime(power3, 0.5) == pytest.approx(1.0, abs=1e-14)
     assert wd.eval_H_prime(power3, 0.0) == 0.0
-    law = wd.make_feedback("exp_inv_square", r0=1.0)
-    assert wd.eval_H_prime(law, 1.0) == pytest.approx(1.5 * math.exp(-1.0), rel=1e-12)
+    assert wd.eval_H_prime(exp_inv, 0.25) == pytest.approx(9.0 * math.exp(-4.0), rel=1e-12)
     assert wd.eval_H_prime(wd.make_feedback("linear"), 0.0) == 1.0
 
 
@@ -159,25 +169,14 @@ def test_nonlinear_families_vanish_at_zero():
         assert wd.eval_H_prime(law, 0.0) == 0.0
 
 
-def test_sub_exponential_at_one():
-    """exp(-ln(1/x)^p) is complex for x > 1; g is 1 from x = 1 on, so H
-    stays finite on the slack its domain check allows beyond r0^2 = 1."""
-    law = wd.make_feedback("sub_exponential", p=2.5, r0=1.0)
-    h = wd.eval_H(law, 1.0 + 1e-12)
-    assert math.isfinite(h) and h == pytest.approx(1.0, rel=1e-11)
-    g = wd.eval_g(law, 1.0)
-    assert math.isfinite(g) and g == pytest.approx(1.0)
-
-
 # ---------------------------------------------------------------------------
 # Lambda and its limit
 
 
-def test_lambda_values(power3, linear_law):
+def test_lambda_values(power3, linear_law, exp_inv):
     assert wd.lambda_H(power3, 0.7) == pytest.approx(0.5, abs=1e-14)
     assert wd.lambda_H(linear_law, 0.3) == 1.0
-    law = wd.make_feedback("exp_inv_square", r0=1.0)
-    assert wd.lambda_H(law, 0.1) == pytest.approx(1.0 / 10.5, rel=1e-12)
+    assert wd.lambda_H(exp_inv, 0.1) == pytest.approx(1.0 / 10.5, rel=1e-12)
 
 
 def test_lambda_zero_rejected(power3):
@@ -268,6 +267,36 @@ def test_convexity_default_r0_families():
         dict(family="sub_exponential", p=3.0),
     ):
         assert wd.convexity_check(wd.make_feedback(**kwargs)).strictly_convex
+
+
+LAW_GRID = (
+    [("linear", None, None), ("exp_inv_square", None, None)]
+    + [("power", p, None) for p in (1.0, 1.0 + 1e-6, 1.5, 3.0, 12.0)]
+    + [("power_log", p, q) for p, q in ((2.5, 1.5), (3.0, 2.0), (4.0, 3.0), (6.0, 1.2), (3.0, 5.0))]
+    + [("sub_exponential", p, None) for p in (2.1, 2.5, 3.0, 4.0, 8.0)]
+)
+
+
+@pytest.mark.parametrize("family, p, q", LAW_GRID)
+def test_every_accepted_law_is_convex(family, p, q):
+    """make_feedback accepts a law exactly when 0 < r0 <= 1, r0 lies below
+    the family's convex bound and g(r0) does not underflow to 0; every law
+    it accepts has H strictly convex by the sampled check (unless H is
+    linear) and, away from linear growth, a positive beta_floor."""
+    bound = _convex_r0_bound(family, p or 0.0, q or 0.0)
+    edge = 1.0 if bound is None else bound
+    for r0 in (None, edge * (1.0 - 1e-9), edge * (1.0 + 1e-9), 1.0, 0.3, 0.05):
+        beyond = r0 is not None and (r0 > 1.0 or (bound is not None and r0 >= bound))
+        try:
+            law = wd.make_feedback(family, p=p, q=q, r0=r0)
+        except LawError:
+            assert beyond or _g(r0, FAMILY_CODES[family], p or 0.0, q or 0.0) == 0.0, r0
+            continue
+        assert not beyond, r0
+        if wd.lambda_limit(law) < 1.0:  # H(x) = x for linear and power p = 1
+            assert wd.convexity_check(law).strictly_convex, r0
+        if _away_from_linear(law):
+            assert wd.beta_floor(law, 1.0) > 0.0, r0
 
 
 # Default r0 values shrunk into the convex range, to the bit: sub_exponential's

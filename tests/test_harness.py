@@ -32,11 +32,9 @@ def test_measured_M_exponential():
 
 
 def test_constant_trace_fails_and_grows():
-    c1 = wd.check_integral_inequality(lambda t: 2.0, lambda y: y, M_bound=5.0,
-                                      mode="finite", horizon=10.0)
-    c2 = wd.check_integral_inequality(lambda t: 2.0, lambda y: y, M_bound=5.0,
-                                      mode="finite", horizon=100.0)
-    assert not c1.passed and not c2.passed
+    c1 = wd.check_integral_inequality(lambda t: 2.0, lambda y: y, mode="finite", horizon=10.0)
+    c2 = wd.check_integral_inequality(lambda t: 2.0, lambda y: y, mode="finite", horizon=100.0)
+    assert c1.M > 5.0 and c2.M > 5.0
     assert c2.M > 5.0 * c1.M
 
 
@@ -58,10 +56,9 @@ def test_nonintegrable_tail_reported():
     # a fitted tail rate of -1 or shallower cannot be extended to infinity
     chk = wd.check_integral_inequality(
         lambda t: 1.0 / (1.0 + t) ** 0.4, lambda y: np.ones_like(y),
-        M_bound=100.0, mode="power_tail", horizon=1e4,
+        mode="power_tail", horizon=1e4,
     )
-    assert math.isinf(chk.M)
-    assert not chk.passed
+    assert chk.M == math.inf
 
 
 # ---------------------------------------------------------------------------
